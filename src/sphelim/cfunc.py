@@ -21,14 +21,14 @@ from fractions import Fraction
 
 from .rootdata import (
     ORBIT_ALPHA1,
-    ORBIT_MIDDLE,
+    ROOT_PATTERNS,
     SpaceDatum,
     Weight,
     _as_f_vector,
     _f_ints_from_xi,
     _first_integrality_violation,
     _rho4,
-    _root_support,
+    iter_root_support,
     lambda_alpha,
     pad_xi_coeffs,
     rho,
@@ -81,23 +81,6 @@ class CFactorParams:
         return cls.from_multiplicities(int(mu_a), lambda_alpha(rho(datum), root), m, mh)
 
 
-def _factor_num_den(mu: int, rho: Fraction, x: Fraction, y: Fraction) -> tuple[int, int]:
-    """Integer numerator/denominator of one root factor (unreduced)."""
-    if mu == 0:
-        return 1, 1
-    q = 4 * (rho.denominator * x.denominator * y.denominator)  # common scale, a multiple of 4
-    rq = int(rho * q)
-    xq = int(x * q)
-    yq = int(y * q)
-    num = 1
-    for j in range(2 * mu):
-        num *= 2 * rq + j * q
-    den = 1
-    for j in range(mu):
-        den *= (rq + xq + j * q) * (rq + yq + j * q)
-    return num, den << (2 * mu)
-
-
 def c_factor(params: CFactorParams) -> Fraction:
     """One root's contribution to the normalized overlap product.
 
@@ -106,8 +89,10 @@ def c_factor(params: CFactorParams) -> Fraction:
     the telescoped form prod_{j<2mu}(2rho+j) / (4^mu prod_{j<mu}
     (rho+x+j)(rho+y+j)), which is the same rational number.
     """
-    num, den = _factor_num_den(params.mu_alpha, params.rho_alpha,
-                               params.x_alpha, params.y_alpha)
+    # x and y are quarter-integers, so this scale makes all three integral
+    q = 8 * params.rho_alpha.denominator
+    num, den = _root_factor(params.mu_alpha, int(params.rho_alpha * q),
+                            int(params.x_alpha * q), int(params.y_alpha * q), q)
     return Fraction(num, den)
 
 
@@ -154,15 +139,16 @@ _FACTOR_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
-def _root_factor(mu_a: int, rho8: int, x8: int, y8: int) -> tuple[int, int]:
+def _root_factor(mu_a: int, rho_q: int, x_q: int, y_q: int, q: int) -> tuple[int, int]:
     """Unreduced integer numerator/denominator of one root factor, from
-    mu_alpha and 8 * (rho_alpha, x_alpha, y_alpha)."""
+    mu_alpha and q * (rho_alpha, x_alpha, y_alpha) for a scale q that makes
+    all three integral; both products carry 2 mu_alpha factors of q."""
     fn = 1
     for j in range(2 * mu_a):
-        fn *= 2 * rho8 + 8 * j
+        fn *= 2 * rho_q + q * j
     fd = 1
     for j in range(mu_a):
-        fd *= (rho8 + x8 + 8 * j) * (rho8 + y8 + 8 * j)
+        fd *= (rho_q + x_q + q * j) * (rho_q + y_q + q * j)
     return fn, fd << (2 * mu_a)
 
 
@@ -183,72 +169,41 @@ def c_value(datum: SpaceDatum, mu) -> Fraction:
             raise ValueError(f"need {datum.psi.rank} coefficients, got {len(mu)}")
         coeffs = _f_ints_from_xi(datum.psi, tuple(int(k) for k in mu))
     r4 = _rho4(datum)
-    label = datum.psi.label
-    rank = datum.psi.rank
-    # (is_alpha1_orbit, mu_alpha, 8*rho_alpha) -> count of equal factors
-    counts: dict[tuple[bool, int, int], int] = {}
-    bad = False
-    if label == "B":
-        for j in range(rank):
-            m = coeffs[j]
-            if m < 0:
-                bad = True
-                break
-            if m:
-                key = (True, m, 2 * r4[j])
+    s, sums, pair_orbit = ROOT_PATTERNS[datum.psi.label]
+    n = len(coeffs)
+    # (orbit, mu_alpha, 8*rho_alpha) -> count of equal factors
+    counts: dict[tuple[str, int, int], int] = {}
+    if s:  # roots s*f_j
+        for j in range(n):
+            mu_a, rem = divmod(coeffs[j], s)
+            if mu_a < 0 or rem:
+                _reject(datum, coeffs)
+            if mu_a:
+                key = (ORBIT_ALPHA1, mu_a, 2 * r4[j] // s)
                 counts[key] = counts.get(key, 0) + 1
-    elif label == "C":
-        for j in range(rank):
-            m = coeffs[j]
-            if m < 0 or m & 1:
-                bad = True
-                break
-            if m:
-                key = (True, m >> 1, r4[j])
+    for j in range(1, n):  # roots f_j - f_i, and f_j + f_i where they occur
+        mj, rj = coeffs[j], r4[j]
+        for i in range(j):
+            diff = mj - coeffs[i]
+            tot = mj + coeffs[i] if sums else 0
+            if diff < 0 or diff & 1 or tot < 0:
+                _reject(datum, coeffs)
+            if diff:
+                key = (pair_orbit, diff >> 1, rj - r4[i])
                 counts[key] = counts.get(key, 0) + 1
-    if not bad and label in ("B", "C", "D"):
-        alpha1_pairs = label == "D"
-        for j in range(1, rank):
-            mj, rj = coeffs[j], r4[j]
-            for i in range(j):
-                diff = mj - coeffs[i]
-                tot = mj + coeffs[i]
-                if diff < 0 or diff & 1 or tot < 0:
-                    bad = True
-                    break
-                if diff:
-                    key = (alpha1_pairs, diff >> 1, rj - r4[i])
-                    counts[key] = counts.get(key, 0) + 1
-                if tot:
-                    key = (alpha1_pairs, tot >> 1, rj + r4[i])
-                    counts[key] = counts.get(key, 0) + 1
-            if bad:
-                break
-    elif not bad:  # A
-        for j in range(1, rank + 1):
-            mj, rj = coeffs[j], r4[j]
-            for i in range(j):
-                diff = mj - coeffs[i]
-                if diff < 0 or diff & 1:
-                    bad = True
-                    break
-                if diff:
-                    key = (True, diff >> 1, rj - r4[i])
-                    counts[key] = counts.get(key, 0) + 1
-            if bad:
-                break
-    if bad:
-        _reject(datum, coeffs)
-    mults = {True: datum.mults_for(ORBIT_ALPHA1), False: datum.mults_for(ORBIT_MIDDLE)}
+            if tot:
+                key = (pair_orbit, tot >> 1, rj + r4[i])
+                counts[key] = counts.get(key, 0) + 1
+    mults = {orbit: datum.mults_for(orbit) for orbit in (ORBIT_ALPHA1, pair_orbit)}
     num = 1
     den = 1
-    for (alpha1, mu_a, rho8), cnt in counts.items():
-        m, mh = mults[alpha1]
+    for (orbit, mu_a, rho8), cnt in counts.items():
+        m, mh = mults[orbit]
         if m == 0 and mh == 0:
             continue  # multiplicity-zero pattern entry: not a root
         if rho8 <= 0:
             raise ArithmeticError("internal error: nonpositive rho pairing on a root")
-        fn, fd = _root_factor(mu_a, rho8, 2 * (mh + 2), 2 * (mh + 2 * m))
+        fn, fd = _root_factor(mu_a, rho8, 2 * (mh + 2), 2 * (mh + 2 * m), 8)
         if cnt == 1:
             num *= fn
             den *= fd
@@ -271,13 +226,11 @@ def _gamma_root_table(datum: SpaceDatum) -> tuple:
     """The roots ``c_gamma`` sums over, with everything that depends only on
     the datum: (entries, 4 * <rho, alpha>, 4 * |alpha|^2, m_half / 4, m,
     the rho half of the log-Gamma difference).  Multiplicity-zero pattern
-    entries are dropped; the order is that of ``_root_support``."""
+    entries are dropped; the order is that of ``iter_root_support``."""
     r4 = _rho4(datum)
-    mults = {ORBIT_ALPHA1: datum.mults_for(ORBIT_ALPHA1),
-             ORBIT_MIDDLE: datum.mults_for(ORBIT_MIDDLE)}
     table = []
-    for orbit, norm_sq, entries in _root_support(datum.psi):
-        m, mh = mults[orbit]
+    for orbit, norm_sq, entries in iter_root_support(datum.psi):
+        m, mh = datum.mults_for(orbit)
         if m == 0 and mh == 0:
             continue
         rho4 = sum(r4[i] * v for i, v in entries)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,8 +37,8 @@ from .rootdata import (
     FAMILIES,
     build_space,
     fundamental_weights,
-    in_lambda_plus,
     lambda_alpha,
+    pad_xi_coeffs,
     rho,
     simple_roots,
     weight_from_xi,
@@ -51,9 +52,16 @@ from .sphere import (
 )
 
 
+def fmt_int(k: int) -> str:
+    """Decimal digits of an integer of any size: unlike ``str``, the
+    conversion through ``Decimal`` is not bound by the interpreter's
+    int-to-string digit limit (4,300 digits by default)."""
+    return str(Decimal(k))
+
+
 def fmt_fraction(fr: Fraction) -> str:
     fr = Fraction(fr)
-    return f"{fr.numerator}/{fr.denominator}"
+    return f"{fmt_int(fr.numerator)}/{fmt_int(fr.denominator)}"
 
 
 def fmt_float(x: float) -> str:
@@ -149,7 +157,7 @@ def cmd_c_eval(args) -> int:
             "mu_xi": list(coeffs),
         }
         try:
-            padded = coeffs if len(coeffs) == datum.rank else tuple(coeffs) + (0,) * (datum.rank - len(coeffs))
+            padded = pad_xi_coeffs(coeffs, datum.rank)
             value = c_value(datum, padded)
         except (ValueError, ArithmeticError) as exc:
             line["error"] = str(exc)
@@ -224,7 +232,8 @@ def cmd_limit_scan(args) -> int:
         return 2
     csv_lines = ["level,c_num,c_den,c_float"]
     for level, value in zip(seq.levels, seq.values):
-        csv_lines.append(f"{level},{value.numerator},{value.denominator},{fmt_float(value)}")
+        csv_lines.append(f"{level},{fmt_int(value.numerator)},{fmt_int(value.denominator)},"
+                         f"{fmt_float(value)}")
     csv_text = "\n".join(csv_lines) + "\n"
     if merged.get("csv"):
         Path(merged["csv"]).write_text(csv_text)

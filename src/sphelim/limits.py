@@ -133,7 +133,8 @@ class CSequence:
         return self.levels[-1], self.values[-1]
 
     def extended(self, more_levels: Sequence[int], max_workers: int = 1) -> "CSequence":
-        fresh = [lv for lv in more_levels if lv not in set(self.levels)]
+        known = set(self.levels)
+        fresh = [lv for lv in more_levels if lv not in known]
         if not fresh:
             return self
         add = _values_at(self.system, fresh, max_workers)
@@ -226,6 +227,11 @@ def decay_bound(epsilon, delta, L: int, N: int) -> float:
     return math.exp(-0.5 * eps * math.fsum(1.0 / (dlt + j) for j in range(L, N + 1)))
 
 
+# Lowest level at which each label's witness root exists; the witness for
+# base coefficient index k also needs level >= k.
+_WITNESS_FLOOR = {"A": 1, "B": 1, "C": 2, "D": 3}
+
+
 def infinite_rank_root_sequence(psi_type, level: int, base_coeff_index: int = 1) -> RestrictedRoot:
     """The witness root used to prove decay along an infinite-rank chain.
 
@@ -239,37 +245,20 @@ def infinite_rank_root_sequence(psi_type, level: int, base_coeff_index: int = 1)
     n, k = int(level), int(base_coeff_index)
     if k < 1:
         raise ValueError("base_coeff_index is 1-based")
+    if label not in _WITNESS_FLOOR:
+        raise ValueError(f"unknown root-system label {label!r}")
+    floor = max(k, _WITNESS_FLOOR[label])
+    if n < floor:
+        raise ValueError(f"{label} witness needs level >= {floor}")
     if label == "A":
-        if n < max(k, 1):
-            raise ValueError(f"A witness needs level >= {max(k, 1)}")
         return RestrictedRoot(n + 1, ((0, -1), (n, 1)), ORBIT_ALPHA1)
     if label == "B":
         if k == 1:
-            if n < 1:
-                raise ValueError("B witness needs level >= 1")
             return RestrictedRoot(n, ((n - 1, 1),), ORBIT_ALPHA1)
-        if n < max(k, 2):
-            raise ValueError(f"B witness needs level >= {max(k, 2)}")
         return RestrictedRoot(n, ((0, -1), (n - 1, 1)), ORBIT_MIDDLE)
     if label == "C":
-        if n < max(k, 2):
-            raise ValueError(f"C witness needs level >= {max(k, 2)}")
         return RestrictedRoot(n, ((0, 1), (n - 1, 1)), ORBIT_MIDDLE)
-    if label == "D":
-        if n < max(k, 3):
-            raise ValueError(f"D witness needs level >= {max(k, 3)}")
-        return RestrictedRoot(n, ((1, 1), (n - 1, 1)), ORBIT_ALPHA1)
-    raise ValueError(f"unknown root-system label {label!r}")
-
-
-def _witness_min_level(label: str, k: int) -> int:
-    if label == "A":
-        return max(k, 1)
-    if label == "B":
-        return max(k, 1) if k == 1 else max(k, 2)
-    if label == "C":
-        return max(k, 2)
-    return max(k, 3)
+    return RestrictedRoot(n, ((1, 1), (n - 1, 1)), ORBIT_ALPHA1)
 
 
 def _certificate_evidence(seq: CSequence) -> dict | None:
@@ -284,7 +273,7 @@ def _certificate_evidence(seq: CSequence) -> dict | None:
     k0 = next((i + 1 for i, c in enumerate(system.base_coeffs) if c), None)
     if k0 is None:
         return None
-    start = _witness_min_level(label, k0)
+    start = max(k0, _WITNESS_FLOOR[label])
     rows = []  # (level, rho_alpha, y_alpha, factor)
     for level in seq.levels:
         if level < start:

@@ -17,12 +17,34 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 ORBIT_ALPHA1 = "alpha1_orbit"
 ORBIT_MIDDLE = "middle"
 
 _MIN_RANK = {"A": 1, "B": 1, "C": 1, "D": 4}
+
+
+class RootPattern(NamedTuple):
+    """The positive nonmultipliable roots of one label, in the f-basis.
+
+    ``single`` is the coefficient s of the roots s*f_j (0: there are none);
+    they lie on the alpha1 orbit.  The roots f_j - f_i (i < j) always
+    occur, and ``sums`` says whether the f_j + f_i do too; both kinds lie
+    on ``pair_orbit``.  Indices run over the ambient coordinates.
+    """
+
+    single: int
+    sums: bool
+    pair_orbit: str
+
+
+ROOT_PATTERNS = {
+    "A": RootPattern(0, False, ORBIT_ALPHA1),
+    "B": RootPattern(1, True, ORBIT_MIDDLE),
+    "C": RootPattern(2, True, ORBIT_MIDDLE),
+    "D": RootPattern(0, True, ORBIT_ALPHA1),
+}
 
 
 @dataclass(frozen=True)
@@ -277,86 +299,53 @@ def iter_root_support(psi: RootSystemType) -> Iterator[tuple[str, int, tuple[tup
 
     Entries are sparse (index, coefficient) pairs; no dense vectors are
     built, so this stays cheap at large rank.  Enumeration order is fixed
-    but not lexicographic.
+    but not lexicographic: the single roots first, then the pairs.
     """
-    r = psi.rank
-    label = psi.label
-    if label == "A":
-        for j in range(1, r + 1):        # root f_{j+1} - f_i, 0-based idx
-            for i in range(j):
-                yield ORBIT_ALPHA1, 2, ((i, -1), (j, 1))
-        return
-    pair_orbit = ORBIT_ALPHA1 if label == "D" else ORBIT_MIDDLE
-    if label == "B":
-        for j in range(r):
-            yield ORBIT_ALPHA1, 1, ((j, 1),)
-    elif label == "C":
-        for j in range(r):
-            yield ORBIT_ALPHA1, 4, ((j, 2),)
-    for j in range(1, r):
+    s, sums, pair_orbit = ROOT_PATTERNS[psi.label]
+    n = psi.ambient_dim
+    if s:
+        for j in range(n):
+            yield ORBIT_ALPHA1, s * s, ((j, s),)
+    for j in range(1, n):
         for i in range(j):
             yield pair_orbit, 2, ((i, -1), (j, 1))
-            yield pair_orbit, 2, ((i, 1), (j, 1))
+            if sums:
+                yield pair_orbit, 2, ((i, 1), (j, 1))
 
 
-@functools.lru_cache(maxsize=64)
-def _root_support(psi: RootSystemType) -> tuple[tuple[str, int, tuple[tuple[int, int], ...]], ...]:
-    """Materialized iter_root_support, cached for evaluator hot loops."""
-    return tuple(iter_root_support(psi))
+def _lex_key(entries: tuple[tuple[int, int], ...]) -> tuple:
+    """Sort key of a sparse vector that orders like its dense f-coefficients.
 
-
-def _sparse_lex_less(a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]) -> bool:
-    """Dense lexicographic order on f-coefficients, compared sparsely."""
-    ia = ib = 0
-    while ia < len(a) or ib < len(b):
-        pa = a[ia][0] if ia < len(a) else None
-        pb = b[ib][0] if ib < len(b) else None
-        if pa == pb:
-            va, vb = a[ia][1], b[ib][1]
-            if va != vb:
-                return va < vb
-            ia += 1
-            ib += 1
-        elif pb is None or (pa is not None and pa < pb):
-            # a has a nonzero where b has zero
-            if a[ia][1] != 0:
-                return a[ia][1] < 0
-            ia += 1
-        else:
-            if b[ib][1] != 0:
-                return b[ib][1] > 0
-            ib += 1
-    return False
+    At the first index where two vectors differ, a negative entry sorts
+    below a missing (zero) one, which sorts below a positive one; the
+    sentinel (1,) stands for the zeros after the last entry.  Entries must
+    be nonzero and in ascending index order.
+    """
+    return tuple((0, i, v) if v < 0 else (2, -i, v) for i, v in entries) + ((1,),)
 
 
 def positive_nonmultipliable_roots(obj: Union[SpaceDatum, RootSystemType]) -> list[RestrictedRoot]:
     """The positive nonmultipliable roots, lexicographically ordered by
-    f-coefficients.  Materializes dense-sortable objects; intended for
+    f-coefficients.  Materializes RestrictedRoot objects; intended for
     moderate ranks (evaluators stream instead)."""
     psi = _psi_of(obj)
     n = psi.ambient_dim
     roots = [RestrictedRoot(n, entries, orbit) for orbit, _, entries in iter_root_support(psi)]
-    roots.sort(key=lambda root: root.coeffs)
+    roots.sort(key=lambda root: _lex_key(root.entries))
     return roots
 
 
 def simple_roots(obj: Union[SpaceDatum, RootSystemType]) -> list[RestrictedRoot]:
     """Simple roots alpha_1..alpha_r; alpha_1 is the distinguished end."""
     psi = _psi_of(obj)
-    r, n, label = psi.rank, psi.ambient_dim, psi.label
+    s, sums, pair_orbit = ROOT_PATTERNS[psi.label]
+    n = psi.ambient_dim
     out = []
-    if label == "A":
-        for j in range(r):
-            out.append(RestrictedRoot(n, ((j, -1), (j + 1, 1)), ORBIT_ALPHA1))
-        return out
-    if label == "B":
-        out.append(RestrictedRoot(n, ((0, 1),), ORBIT_ALPHA1))
-    elif label == "C":
-        out.append(RestrictedRoot(n, ((0, 2),), ORBIT_ALPHA1))
-    else:  # D
-        out.append(RestrictedRoot(n, ((0, 1), (1, 1)), ORBIT_ALPHA1))
-    pair_orbit = ORBIT_ALPHA1 if label == "D" else ORBIT_MIDDLE
-    for j in range(1, r):
+    if s:
+        out.append(RestrictedRoot(n, ((0, s),), ORBIT_ALPHA1))
+    elif sums:
+        out.append(RestrictedRoot(n, ((0, 1), (1, 1)), pair_orbit))
+    for j in range(1, n):
         out.append(RestrictedRoot(n, ((j - 1, -1), (j, 1)), pair_orbit))
     return out
 
@@ -365,22 +354,15 @@ def simple_roots(obj: Union[SpaceDatum, RootSystemType]) -> list[RestrictedRoot]
 def _xi_int_rows(psi: RootSystemType) -> tuple[tuple[int, ...], ...]:
     """Integer f-coefficient rows of xi_1..xi_r (every fundamental weight
     here has integer f-coordinates; type-A rows already start with 0)."""
-    r, n, label = psi.rank, psi.ambient_dim, psi.label
+    s, sums, _ = ROOT_PATTERNS[psi.label]
+    r, n = psi.rank, psi.ambient_dim
     rows: list[tuple[int, ...]] = []
-    if label == "A":
-        for j in range(1, r + 1):
-            rows.append(tuple(2 if i >= j else 0 for i in range(n)))
-        return tuple(rows)
-    if label == "B":
-        rows.append((1,) * n)
-    elif label == "C":
-        rows.append((2,) * n)
-    else:  # D
-        rows.append((1,) * n)
-        rows.append((-1,) + (1,) * (n - 1))
-    start = 2 if label in ("B", "C") else 3
-    for j in range(start, r + 1):
-        rows.append(tuple(2 if i >= j - 1 else 0 for i in range(n)))
+    if s:
+        rows.append((s,) * n)
+    elif sums:  # D: both fork ends
+        rows += [(1,) * n, (-1,) + (1,) * (n - 1)]
+    for j in range(len(rows) + 1, r + 1):
+        rows.append(tuple(2 if i >= j - 1 + n - r else 0 for i in range(n)))
     return tuple(rows)
 
 
@@ -451,29 +433,16 @@ def _rho4(datum: SpaceDatum) -> tuple[int, ...]:
     """4 * rho in f-coefficients (always integral).
 
     rho is half the multiplicity-weighted sum of all positive restricted
-    roots, halves included; the sum is taken orbit by orbit.  Type-A output
-    is normalized to a zero first coefficient.
+    roots, halves included.  In 2rho_j the differences f_j - f_i give
+    m_pair*(2j+1-n) and the sums f_j + f_i add m_pair*(n-1), so 2j*m_pair
+    in all; type A has no sums, and its representative with a zero first
+    coefficient is again 2j*m_pair.  The single roots s*f_j and their
+    halves add s*m_alpha1 + m_half (m_half is 0 without single roots).
     """
-    psi = datum.psi
-    r, n, label = psi.rank, psi.ambient_dim, psi.label
-    two_rho = [0] * n
-    if label == "A":
-        m = datum.mult_alpha1
-        for j in range(n):
-            two_rho[j] = m * (2 * (j + 1) - 1 - n)
-        base = two_rho[0]
-        two_rho = [c - base for c in two_rho]
-        return tuple(2 * c for c in two_rho)
-    m_pair = datum.mult_alpha1 if label == "D" else datum.mult_middle
-    for j in range(n):
-        two_rho[j] += m_pair * 2 * j          # sum of f_j +- f_i over i < j
-    if label == "B":
-        for j in range(n):
-            two_rho[j] += datum.mult_alpha1   # roots f_j
-    elif label == "C":
-        for j in range(n):
-            two_rho[j] += 2 * datum.mult_alpha1 + datum.mult_half  # 2f_j and halves f_j
-    return tuple(2 * c for c in two_rho)
+    s, _, pair_orbit = ROOT_PATTERNS[datum.psi.label]
+    m_pair = datum.mults_for(pair_orbit)[0]
+    single = s * datum.mult_alpha1 + datum.mult_half
+    return tuple(2 * (2 * j * m_pair + single) for j in range(datum.psi.ambient_dim))
 
 
 def rho(datum: SpaceDatum) -> Weight:
@@ -499,18 +468,15 @@ def _first_integrality_violation(datum: SpaceDatum, lam) -> RestrictedRoot | Non
     not a nonnegative integer, or None."""
     psi = datum.psi
     vec = _as_f_vector(datum, lam)
-    worst: tuple[tuple[int, int], ...] | None = None
-    worst_orbit = ""
+    bad = []
     for orbit, norm_sq, entries in iter_root_support(psi):
-        num = sum(vec[idx] * val for idx, val in entries)
-        val = num / norm_sq
+        val = sum(vec[idx] * v for idx, v in entries) / norm_sq
         if val.denominator != 1 or val < 0:
-            if worst is None or _sparse_lex_less(entries, worst):
-                worst = entries
-                worst_orbit = orbit
-    if worst is None:
+            bad.append((entries, orbit))
+    if not bad:
         return None
-    return RestrictedRoot(psi.ambient_dim, worst, worst_orbit)
+    entries, orbit = min(bad, key=lambda root: _lex_key(root[0]))
+    return RestrictedRoot(psi.ambient_dim, entries, orbit)
 
 
 def in_lambda_plus(datum: SpaceDatum, lam) -> bool:

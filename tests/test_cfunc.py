@@ -2,6 +2,7 @@
 Gamma-function oracle, factor identities, and lattice rejection."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -24,6 +25,7 @@ from sphelim.cfunc import (
 from sphelim.rootdata import (
     Weight,
     build_space,
+    lambda_alpha,
     positive_nonmultipliable_roots,
     rho,
     weight_from_xi,
@@ -120,11 +122,12 @@ class TestCFactor:
     @given(
         mu=st.integers(min_value=0, max_value=6),
         rho_num=st.integers(min_value=1, max_value=40),
+        rho_den=st.integers(min_value=1, max_value=7),
         m=st.integers(min_value=0, max_value=8),
         mh=st.integers(min_value=0, max_value=8),
     )
-    def test_matches_reference_form_and_bounds(self, mu, rho_num, m, mh):
-        params = CFactorParams.from_multiplicities(mu, Fraction(rho_num, 4), m, mh)
+    def test_matches_reference_form_and_bounds(self, mu, rho_num, rho_den, m, mh):
+        params = CFactorParams.from_multiplicities(mu, Fraction(rho_num, rho_den), m, mh)
         value = c_factor(params)
         assert value == c_factor_reference(params)
         assert 0 < value <= 1
@@ -200,6 +203,28 @@ class TestCValue:
         datum = build_space("su-over-so", n=3)
         with pytest.raises(ValueError, match=r"pairing with RestrictedRoot\(-f1\+f3, alpha1_orbit\) is 3/2"):
             c_value(datum, Weight((Fraction(0), Fraction(1), Fraction(3))))
+
+    @pytest.mark.parametrize("datum", INSTANCES, ids=IDS)
+    def test_rejection_names_dense_lex_first_violation(self, datum):
+        # brute force: every pattern root, sorted by its dense f-coefficients
+        roots = sorted(positive_nonmultipliable_roots(datum), key=lambda r: r.coeffs)
+        rng = random.Random(20240817)
+        n = datum.psi.ambient_dim
+        rejected = 0
+        # mostly lattice-friendly coordinates, so that few roots fail and
+        # the order among the failing ones decides the answer
+        pool = (-2, -1, 0, 0, 1, 2, 2, 4, Fraction(1, 2), Fraction(-3, 2))
+        for _ in range(200):
+            vec = tuple(Fraction(rng.choice(pool)) for _ in range(n))
+            first = next((r for r in roots
+                          if (v := lambda_alpha(vec, r)).denominator != 1 or v < 0), None)
+            if first is None:
+                continue
+            rejected += 1
+            with pytest.raises(ValueError) as exc:
+                c_value(datum, Weight(vec))
+            assert f"pairing with {first!r} is {lambda_alpha(vec, first)}" in str(exc.value)
+        assert rejected > 0
 
     def test_rejects_negative_weight(self):
         datum = build_space("group-sp", n=2)

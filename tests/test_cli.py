@@ -31,6 +31,10 @@ class TestFormatting:
         assert fmt_fraction(Fraction(2)) == "2/1"
         assert fmt_fraction(Fraction(-1, 3)) == "-1/3"
 
+    def test_fraction_beyond_the_int_str_digit_limit(self):
+        # more digits than str(int) accepts by default (4,300)
+        assert fmt_fraction(Fraction(1, 10 ** 5000)) == "1/1" + "0" * 5000
+
     def test_float_seventeen_digits(self):
         assert fmt_float(0.1) == "0.10000000000000001"
         assert fmt_float(1.0) == "1"
