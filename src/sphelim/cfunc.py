@@ -168,20 +168,33 @@ def c_value(datum: SpaceDatum, mu) -> Fraction:
         if len(mu) != datum.psi.rank:
             raise ValueError(f"need {datum.psi.rank} coefficients, got {len(mu)}")
         coeffs = _f_ints_from_xi(datum.psi, tuple(int(k) for k in mu))
+    return Fraction(*_product_from(datum, coeffs, 0))
+
+
+def _product_from(datum: SpaceDatum, coeffs: list[int], lo: int) -> tuple[int, int]:
+    """Unreduced integer numerator/denominator of the overlap product over
+    the pattern roots whose largest f-index is at least ``lo``: the single
+    roots s*f_j and the pairs f_j -+ f_i (i < j) with j >= lo.
+
+    ``coeffs`` are the weight's integer f-coefficients.  With lo = 0 this is
+    the whole product; along a chain whose coefficients and rho extend those
+    of a lower level of ambient dimension lo, it is the one-step factor
+    c(this level) / c(lower level).  Rejects like ``c_value``.
+    """
     r4 = _rho4(datum)
     s, sums, pair_orbit = ROOT_PATTERNS[datum.psi.label]
     n = len(coeffs)
     # (orbit, mu_alpha, 8*rho_alpha) -> count of equal factors
     counts: dict[tuple[str, int, int], int] = {}
     if s:  # roots s*f_j
-        for j in range(n):
+        for j in range(lo, n):
             mu_a, rem = divmod(coeffs[j], s)
             if mu_a < 0 or rem:
                 _reject(datum, coeffs)
             if mu_a:
                 key = (ORBIT_ALPHA1, mu_a, 2 * r4[j] // s)
                 counts[key] = counts.get(key, 0) + 1
-    for j in range(1, n):  # roots f_j - f_i, and f_j + f_i where they occur
+    for j in range(max(lo, 1), n):  # roots f_j - f_i, and f_j + f_i where they occur
         mj, rj = coeffs[j], r4[j]
         for i in range(j):
             diff = mj - coeffs[i]
@@ -210,7 +223,7 @@ def c_value(datum: SpaceDatum, mu) -> Fraction:
         else:
             num *= fn ** cnt
             den *= fd ** cnt
-    return Fraction(num, den)
+    return num, den
 
 
 def _log_cprime(lam: float, quarter_mh: float, m: int) -> float:
@@ -269,6 +282,15 @@ def c_gamma(datum: SpaceDatum, lam) -> float:
             continue
         total += _log_cprime(lam4 / scale, quarter, m) - rho_term
     return math.exp(total)
+
+
+def c_oracle(datum: SpaceDatum, mu) -> float:
+    """``c_gamma`` at mu + rho: the floating-point value that
+    ``c_value(datum, mu)`` should match.  ``mu`` is a Weight or a sequence
+    of fundamental-weight coefficients, as for ``c_value``."""
+    if not isinstance(mu, Weight):
+        mu = weight_from_xi(datum, mu)
+    return c_gamma(datum, tuple(a + b for a, b in zip(mu.coeffs_f, rho(datum).coeffs_f)))
 
 
 def overlap_highest_weight(datum: SpaceDatum, mu) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cfunc import c_gamma, c_value
+from .cfunc import c_oracle, c_value
 from .limits import (
     ClassifyConfig,
     DirectSystem,
@@ -41,7 +42,6 @@ from .rootdata import (
     pad_xi_coeffs,
     rho,
     simple_roots,
-    weight_from_xi,
 )
 from .sphere import (
     mc_functional_equation,
@@ -165,10 +165,10 @@ def cmd_c_eval(args) -> int:
         else:
             line["c_exact"] = fmt_fraction(value)
             line["c_float"] = fmt_float(value)
+            # the magnitude survives where c_float underflows to 0
+            line["c_log10"] = fmt_float(math.log10(value.numerator) - math.log10(value.denominator))
             if args.oracle:
-                w = weight_from_xi(datum, padded)
-                shifted_vec = tuple(a + b for a, b in zip(w.coeffs_f, rho(datum).coeffs_f))
-                line["c_oracle_float"] = fmt_float(c_gamma(datum, shifted_vec))
+                line["c_oracle_float"] = fmt_float(c_oracle(datum, padded))
         emit_json(line)
     return 1 if failures else 0
 
@@ -367,9 +367,7 @@ def _self_checks():
                                        ("group-sp", {"n": 3}, (0, 1, 1))):
             datum = build_space(family, **kwargs)
             exact = float(c_value(datum, coeffs))
-            w = weight_from_xi(datum, coeffs)
-            shifted_vec = tuple(a + b for a, b in zip(w.coeffs_f, rho(datum).coeffs_f))
-            approx = c_gamma(datum, shifted_vec)
+            approx = c_oracle(datum, coeffs)
             assert abs(approx - exact) / exact < 1e-9, (family, exact, approx)
 
     def zonal_forms():

@@ -11,14 +11,16 @@ sits on, attaching a divergence certificate in the infinite-rank case.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .cfunc import c_value
+from .cfunc import _product_from, c_value
 from .rootdata import (
     FAMILIES,
     ORBIT_ALPHA1,
@@ -27,10 +29,10 @@ from .rootdata import (
     RootSystemType,
     SpaceDatum,
     Weight,
+    _f_ints_from_xi,
+    _rho4,
     build_space,
-    lambda_alpha,
     pad_xi_coeffs,
-    rho,
     weight_from_xi,
 )
 
@@ -114,11 +116,25 @@ def propagate(system: DirectSystem, level: int) -> tuple[SpaceDatum, Weight]:
     infinite-rank mode zero-pads them up to the level's rank.  Either way
     the weight restricts back to the base weight on the smaller flat.
     """
+    datum, coeffs = _propagated_xi(system, level)
+    return datum, weight_from_xi(datum, coeffs)
+
+
+def _propagated_xi(system: DirectSystem, level: int) -> tuple[SpaceDatum, tuple[int, ...]]:
     if level < system.base_level:
         raise ValueError(f"level {level} is below the base level {system.base_level}")
     datum = datum_at_level(system, level)
-    coeffs = pad_xi_coeffs(system.base_coeffs, datum.rank)
-    return datum, weight_from_xi(datum, coeffs)
+    return datum, pad_xi_coeffs(system.base_coeffs, datum.rank)
+
+
+def _level_rows(system: DirectSystem, level: int) -> tuple[SpaceDatum, list[int], tuple[int, ...]]:
+    """The datum at one level with the integer f-coefficients of the
+    propagated weight and of 4 rho; no Fractions are built."""
+    datum, coeffs = _propagated_xi(system, level)
+    return datum, _f_ints_from_xi(datum.psi, coeffs), _rho4(datum)
+
+
+_mults = operator.attrgetter("mult_middle", "mult_alpha1", "mult_half")
 
 
 @dataclass(frozen=True)
@@ -134,10 +150,13 @@ class CSequence:
 
     def extended(self, more_levels: Sequence[int], max_workers: int = 1) -> "CSequence":
         known = set(self.levels)
-        fresh = [lv for lv in more_levels if lv not in known]
+        fresh = sorted(set(int(lv) for lv in more_levels) - known)
         if not fresh:
             return self
-        add = _values_at(self.system, fresh, max_workers)
+        # the infinite-rank fold starts from the closest known level below
+        below = bisect.bisect_left(self.levels, fresh[0])
+        seed = (self.levels[below - 1], self.values[below - 1]) if below else None
+        add = _values_at(self.system, fresh, max_workers, seed)
         merged = sorted(zip(self.levels + tuple(fresh), self.values + tuple(add)))
         return CSequence(self.system,
                          tuple(lv for lv, _ in merged),
@@ -151,7 +170,35 @@ def _level_value(args) -> Fraction:
     return c_value(datum, w)
 
 
-def _values_at(system: DirectSystem, levels: Sequence[int], max_workers: int) -> list[Fraction]:
+def _values_at(system: DirectSystem, levels: Sequence[int], max_workers: int,
+               seed: tuple[int, Fraction] | None = None) -> list[Fraction]:
+    """Exact values at ascending levels.
+
+    Infinite-rank levels fold in-process: the weight's f-coefficients and
+    rho only grow by new trailing entries from one level to the next, so
+    each value is the one before it times the factors of the roots that
+    reach the new indices (the one-step overlap q(n+1, n)^2).  ``seed`` is a
+    known (level, value) below ``levels[0]`` to start the fold from.
+    Finite-rank levels are independent and may go to a process pool.
+    """
+    if system.mode == MODE_INFINITE:
+        prev = None  # (datum, f-coefficients, 4 rho, value) of the last level
+        if seed is not None:
+            prev = (*_level_rows(system, seed[0]), seed[1])
+        out = []
+        for level in levels:
+            datum, coeffs, r4 = _level_rows(system, level)
+            lo, value = 0, Fraction(1)
+            if prev is not None:
+                p_datum, p_coeffs, p_r4, p_value = prev
+                n = len(p_coeffs)
+                if (_mults(p_datum) == _mults(datum) and coeffs[:n] == p_coeffs
+                        and r4[:n] == p_r4):
+                    lo, value = n, p_value
+            value *= Fraction(*_product_from(datum, coeffs, lo))
+            out.append(value)
+            prev = (datum, coeffs, r4, value)
+        return out
     jobs = [(system.family, system.fixed_p, system.base_coeffs, lv) for lv in levels]
     if max_workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
@@ -172,8 +219,9 @@ def c_sequence(system: DirectSystem, levels: Sequence[int],
                max_workers: int = 1) -> CSequence:
     """Exact overlap constants at the given levels (sorted, deduplicated).
 
-    Worker count only changes wall time, never values: the per-level results
-    are assembled in level order.
+    Worker count only changes wall time, never values: finite-rank levels
+    may go to a process pool and are assembled in level order; infinite-rank
+    levels are folded in-process.
     """
     lvs = sorted(set(int(lv) for lv in levels))
     if not lvs:
@@ -279,14 +327,15 @@ def _certificate_evidence(seq: CSequence) -> dict | None:
         if level < start:
             continue
         root = infinite_rank_root_sequence(label, level, k0)
-        datum, w = propagate(system, level)
+        datum, coeffs, r4 = _level_rows(system, level)
         m, mh = datum.mults_for(root.orbit)
         if mh != 0 or m <= 0:
             return None
-        mu_a = lambda_alpha(w, root)
+        norm_sq = root.norm_sq()
+        mu_a = Fraction(sum(v * coeffs[i] for i, v in root.entries), norm_sq)
         if mu_a < 1:
             return None
-        rho_a = lambda_alpha(rho(datum), root)
+        rho_a = Fraction(sum(v * r4[i] for i, v in root.entries), 4 * norm_sq)
         y = Fraction(mh + 2 * m, 4)
         rows.append((level, rho_a, y, 1 / (1 + y / rho_a)))
     if len(rows) < 2:

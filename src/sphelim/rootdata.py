@@ -350,40 +350,41 @@ def simple_roots(obj: Union[SpaceDatum, RootSystemType]) -> list[RestrictedRoot]
     return out
 
 
-@functools.lru_cache(maxsize=256)
-def _xi_int_rows(psi: RootSystemType) -> tuple[tuple[int, ...], ...]:
-    """Integer f-coefficient rows of xi_1..xi_r (every fundamental weight
-    here has integer f-coordinates; type-A rows already start with 0)."""
-    s, sums, _ = ROOT_PATTERNS[psi.label]
-    r, n = psi.rank, psi.ambient_dim
-    rows: list[tuple[int, ...]] = []
-    if s:
-        rows.append((s,) * n)
-    elif sums:  # D: both fork ends
-        rows += [(1,) * n, (-1,) + (1,) * (n - 1)]
-    for j in range(len(rows) + 1, r + 1):
-        rows.append(tuple(2 if i >= j - 1 + n - r else 0 for i in range(n)))
-    return tuple(rows)
-
-
 def fundamental_weights(obj: Union[SpaceDatum, RootSystemType]) -> list[Weight]:
     """Weights xi_1..xi_r dual to the simple roots: <xi_i, alpha_j>/<alpha_j,alpha_j> = delta_ij."""
     psi = _psi_of(obj)
     out = []
-    for j, row in enumerate(_xi_int_rows(psi)):
+    for j in range(psi.rank):
         unit = tuple(1 if i == j else 0 for i in range(psi.rank))
-        out.append(Weight(tuple(Fraction(c) for c in row), unit))
+        out.append(Weight(tuple(Fraction(c) for c in _f_ints_from_xi(psi, unit)), unit))
     return out
 
 
 def _f_ints_from_xi(psi: RootSystemType, coeffs: Sequence[int]) -> list[int]:
-    """Integer f-coordinates of sum_j coeffs[j] * xi_{j+1}; no validation."""
-    f = [0] * psi.ambient_dim
-    for k, row in zip(coeffs, _xi_int_rows(psi)):
-        if k:
-            for i, c in enumerate(row):
-                if c:
-                    f[i] += k * c
+    """Integer f-coordinates of sum_j coeffs[j] * xi_{j+1}; no validation.
+
+    Every fundamental weight here has integer f-coordinates.  xi_1 is
+    s*(f_1 + ... + f_n) where there are single roots s*f_j; for D, xi_1 and
+    xi_2 are the fork ends f_1 + ... + f_n and -f_1 + f_2 + ... + f_n.
+    Every later xi_{j+1} is the tail 2*(f_{j+1+n-r} + ... + f_n), so
+    type-A vectors start with 0.  One running sum gives all n coordinates.
+    """
+    s, sums, _ = ROOT_PATTERNS[psi.label]
+    r, n = psi.rank, psi.ambient_dim
+    if s:
+        first, acc = 1, s * coeffs[0]
+    elif sums:
+        first, acc = 2, coeffs[0] + coeffs[1]
+    else:
+        first, acc = 0, 0
+    f = []
+    for i in range(n):
+        j = i + r - n  # the tail xi_{j+1} starts at f_{i+1}
+        if j >= first:
+            acc += 2 * coeffs[j]
+        f.append(acc)
+    if first == 2:
+        f[0] -= 2 * coeffs[1]
     return f
 
 

@@ -17,6 +17,7 @@ from sphelim.cfunc import (
     c_factor,
     c_factor_reference,
     c_gamma,
+    c_oracle,
     c_value,
     overlap_highest_weight,
     overlap_q,
@@ -267,6 +268,18 @@ class TestCGammaOracle:
         lam = Weight(shifted_parameter(datum, (1,)))  # f-vector (7/2,)
         assert lam.coeffs_f == (Fraction(7, 2),)
         assert abs(c_gamma(datum, lam) - exact) / exact < 1e-12
+
+    @pytest.mark.parametrize("datum", INSTANCES, ids=IDS)
+    def test_c_oracle_is_c_gamma_at_the_shift(self, datum):
+        for coeffs in [(0,) * datum.rank, (1,) * datum.rank,
+                       tuple(range(1, datum.rank + 1))]:
+            want = c_gamma(datum, shifted_parameter(datum, coeffs))
+            assert c_oracle(datum, coeffs) == want
+            assert c_oracle(datum, weight_from_xi(datum, coeffs)) == want
+
+    def test_c_oracle_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="need 3 coefficients"):
+            c_oracle(build_space("group-sp", n=3), (1, 1))
 
 
 class TestOverlaps:

@@ -3,6 +3,7 @@ precedence, exit codes, and the built-in invariant suite."""
 
 import importlib
 import json
+import math
 import shutil
 import subprocess
 from fractions import Fraction
@@ -87,6 +88,23 @@ class TestCEval:
         exact = float(Fraction(line["c_exact"]))
         oracle = float(line["c_oracle_float"])
         assert abs(oracle - exact) / exact < 1e-9
+
+    def test_log10_where_the_float_underflows(self, capsys):
+        code, out, _ = run_cli(capsys, "c-eval", "--family", "group-sp",
+                               "--n", "30", "--mu", ",".join(["12"] * 30))
+        assert code == 0
+        line = json.loads(out)
+        value = Fraction(line["c_exact"])
+        assert value.denominator.bit_length() == 3331
+        assert line["c_float"] == "0"
+        assert abs(float(line["c_log10"]) - -1002.549) < 1e-3
+
+    def test_log10_field_matches_the_value(self, capsys):
+        code, out, _ = run_cli(capsys, "c-eval", "--family", "rank1-real",
+                               "--q", "2", "--mu", "1", "--mu", "0")
+        lines = [json.loads(line) for line in out.strip().splitlines()]
+        assert float(lines[0]["c_log10"]) == pytest.approx(math.log10(3 / 8), rel=1e-15)
+        assert lines[1]["c_log10"] == "0"
 
     def test_rejected_weight_sets_error_and_exit_one(self, capsys):
         code, out, _ = run_cli(capsys, "c-eval", "--family", "rank1-real",

@@ -27,6 +27,7 @@ from sphelim.limits import (
     propagate,
 )
 from sphelim.rootdata import (
+    FAMILIES,
     build_space,
     lambda_alpha,
     positive_nonmultipliable_roots,
@@ -117,6 +118,22 @@ class TestCSequenceConstruction:
         merged = seq.extended([3])
         assert merged.levels == (2, 3, 4)
         assert merged.values[1] == Fraction(1, 3)
+
+    def test_extended_deduplicates_fresh_levels(self):
+        seq = c_sequence(DirectSystem("group-su", (1,)), [1, 2]).extended([3, 3])
+        assert seq.levels == (1, 2, 3)
+        assert seq.values == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
+
+    def test_extended_rejects_levels_below_base(self):
+        seq = c_sequence(DirectSystem("group-su", (0, 1)), [2, 3])
+        with pytest.raises(ValueError, match="below the base level"):
+            seq.extended([1])
+
+    def test_parallel_matches_serial_finite_rank(self):
+        system = DirectSystem("grass-quaternion", (1, 1), fixed_p=2)
+        serial = c_sequence(system, range(2, 12))
+        parallel = c_sequence(system, range(2, 12), max_workers=2)
+        assert serial == parallel
 
     def test_parallel_matches_serial(self):
         system = DirectSystem("group-sp", (1, 1))
@@ -215,6 +232,86 @@ class TestInfiniteChains:
         assert report.verdict == VERDICT_ZERO
         assert report.evidence["floor_crossed"]
         assert report.evidence["certificate"] is None
+
+
+def _first_weight_systems():
+    """Each infinite-rank family with each of its first three fundamental
+    weights, padded to the family's smallest rank."""
+    out = []
+    for family in INFINITE_FAMILIES:
+        fam = FAMILIES[family]
+        base = min(fam.rank_of(n) for n in (fam.min_n, fam.min_n + 1))
+        for j in range(3):
+            coeffs = [0] * max(base, j + 1)
+            coeffs[j] = 1
+            out.append(DirectSystem(family, tuple(coeffs)))
+    return out
+
+
+FIRST_WEIGHT_SYSTEMS = _first_weight_systems()
+FIRST_WEIGHT_IDS = [f"{s.family}{s.base_coeffs}" for s in FIRST_WEIGHT_SYSTEMS]
+FOLD_TOP = 30
+
+
+def _from_scratch(system, levels):
+    return tuple(c_value(*propagate(system, level)) for level in levels)
+
+
+class TestIncrementalFold:
+    """Infinite-rank levels are folded from the level below; every path
+    into the fold must give the from-scratch values."""
+
+    @pytest.mark.parametrize("system", FIRST_WEIGHT_SYSTEMS, ids=FIRST_WEIGHT_IDS)
+    def test_contiguous_levels_match_from_scratch(self, system):
+        levels = range(system.base_level, FOLD_TOP + 1)
+        assert c_sequence(system, levels).values == _from_scratch(system, levels)
+
+    @pytest.mark.parametrize("system", FIRST_WEIGHT_SYSTEMS, ids=FIRST_WEIGHT_IDS)
+    def test_scans_agree_over_batch_and_workers(self, system):
+        for batch in (1, 7, FOLD_TOP):
+            runs = [classify_scan(system, FOLD_TOP, batch=batch, max_workers=workers)
+                    for workers in (1, 2)]
+            (seq, report), (seq2, report2) = runs
+            assert seq == seq2
+            assert report == report2 and report.evidence == report2.evidence
+            assert seq.values == _from_scratch(system, seq.levels)
+            assert report.evidence == classify(c_sequence(system, seq.levels)).evidence
+
+    @pytest.mark.parametrize("system", FIRST_WEIGHT_SYSTEMS, ids=FIRST_WEIGHT_IDS)
+    def test_noncontiguous_levels_match_from_scratch(self, system):
+        levels = (max(3, system.base_level), 10, 25)
+        seq = c_sequence(system, levels)
+        assert seq.levels == levels
+        assert seq.values == _from_scratch(system, levels)
+
+    def test_extended_between_known_levels(self):
+        system = DirectSystem("group-sp", (1, 1))
+        seq = c_sequence(system, [2, 6]).extended([3, 9])
+        assert seq.levels == (2, 3, 6, 9)
+        assert seq.values == _from_scratch(system, seq.levels)
+        seq = seq.extended([8, 4, 20])
+        assert seq.values == _from_scratch(system, seq.levels)
+
+    @pytest.mark.parametrize("system", FIRST_WEIGHT_SYSTEMS, ids=FIRST_WEIGHT_IDS)
+    def test_certificate_matches_propagated_pairings(self, system):
+        seq = c_sequence(system, range(system.base_level, 16))
+        cert = classify(seq).evidence["certificate"]
+        assert cert is not None
+        label = datum_at_level(system, system.base_level).psi.label
+        k0 = next(i + 1 for i, c in enumerate(system.base_coeffs) if c)
+        partial = Fraction(1)
+        rhos = []
+        for level in cert["witness_levels"]:
+            datum, w = propagate(system, level)
+            root = infinite_rank_root_sequence(label, level, k0)
+            assert lambda_alpha(w, root) >= 1
+            m, _ = datum.mults_for(root.orbit)
+            rho_a = lambda_alpha(rho(datum), root)
+            rhos.append(rho_a)
+            partial /= 1 + Fraction(2 * m, 4) / rho_a
+        assert cert["partial_product"] == partial
+        first, second = cert["witness_levels"][:2]
+        assert cert["rho_slope"] == (rhos[1] - rhos[0]) / (second - first)
 
 
 class TestFiniteChains:
