@@ -31,7 +31,6 @@ from .limits import (
     c_sequence,
     classify,
     classify_scan,
-    default_max_workers,
     divergence_certificate,
 )
 from .rootdata import (
@@ -176,7 +175,7 @@ def cmd_c_eval(args) -> int:
 _SCAN_KEYS = {
     "family": str, "coeffs": _parse_int_list, "p": int, "max_level": int,
     "zero_floor": Fraction, "positive_floor": Fraction, "window": int,
-    "rtol": float, "batch": int, "workers": int, "csv": str,
+    "rtol": float, "batch": int, "csv": str,
 }
 
 
@@ -219,13 +218,11 @@ def cmd_limit_scan(args) -> int:
             window=merged.get("window", 5),
             rtol=merged.get("rtol", 1e-4),
         )
-        workers = merged.get("workers", default_max_workers())
         seq, report = classify_scan(
             system,
             max_level=merged.get("max_level", 200),
             config=config,
             batch=merged.get("batch", 25),
-            max_workers=workers,
         )
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -469,8 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--window", type=int)
     p_scan.add_argument("--rtol", type=float)
     p_scan.add_argument("--batch", type=int)
-    p_scan.add_argument("--workers", type=int,
-                        help="process count (default: SPHELIM_THREADS or 1)")
     p_scan.add_argument("--csv", help="write the level/value table here instead of stdout")
     p_scan.set_defaults(handler=cmd_limit_scan)
 

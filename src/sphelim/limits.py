@@ -14,13 +14,11 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .cfunc import _product_from, c_value
+from .cfunc import _product_from
 from .rootdata import (
     FAMILIES,
     ORBIT_ALPHA1,
@@ -148,88 +146,60 @@ class CSequence:
     def last(self) -> tuple[int, Fraction]:
         return self.levels[-1], self.values[-1]
 
-    def extended(self, more_levels: Sequence[int], max_workers: int = 1) -> "CSequence":
+    def extended(self, more_levels: Sequence[int]) -> "CSequence":
         known = set(self.levels)
         fresh = sorted(set(int(lv) for lv in more_levels) - known)
         if not fresh:
             return self
-        # the infinite-rank fold starts from the closest known level below
+        # the fold starts from the closest known level below
         below = bisect.bisect_left(self.levels, fresh[0])
         seed = (self.levels[below - 1], self.values[below - 1]) if below else None
-        add = _values_at(self.system, fresh, max_workers, seed)
+        add = _values_at(self.system, fresh, seed)
         merged = sorted(zip(self.levels + tuple(fresh), self.values + tuple(add)))
         return CSequence(self.system,
                          tuple(lv for lv, _ in merged),
                          tuple(v for _, v in merged))
 
 
-def _level_value(args) -> Fraction:
-    family, fixed_p, base_coeffs, level = args
-    system = DirectSystem(family, base_coeffs, fixed_p)
-    datum, w = propagate(system, level)
-    return c_value(datum, w)
-
-
-def _values_at(system: DirectSystem, levels: Sequence[int], max_workers: int,
+def _values_at(system: DirectSystem, levels: Sequence[int],
                seed: tuple[int, Fraction] | None = None) -> list[Fraction]:
-    """Exact values at ascending levels.
+    """Exact values at ascending levels, folded serially from one level to
+    the next.
 
-    Infinite-rank levels fold in-process: the weight's f-coefficients and
-    rho only grow by new trailing entries from one level to the next, so
-    each value is the one before it times the factors of the roots that
-    reach the new indices (the one-step overlap q(n+1, n)^2).  ``seed`` is a
-    known (level, value) below ``levels[0]`` to start the fold from.
-    Finite-rank levels are independent and may go to a process pool.
+    When the multiplicities agree and the weight's f-coefficients and rho
+    only grow by new trailing entries (every infinite-rank chain), a value
+    is the one before it times the factors of the roots that reach the new
+    indices (the one-step overlap q(n+1, n)^2).  Otherwise (a Grassmannian
+    chain, whose multiplicities and rho move with q) the level is the whole
+    product, as ``c_value`` computes it.  ``seed`` is a known (level, value)
+    below ``levels[0]`` to start the fold from.
     """
-    if system.mode == MODE_INFINITE:
-        prev = None  # (datum, f-coefficients, 4 rho, value) of the last level
-        if seed is not None:
-            prev = (*_level_rows(system, seed[0]), seed[1])
-        out = []
-        for level in levels:
-            datum, coeffs, r4 = _level_rows(system, level)
-            lo, value = 0, Fraction(1)
-            if prev is not None:
-                p_datum, p_coeffs, p_r4, p_value = prev
-                n = len(p_coeffs)
-                if (_mults(p_datum) == _mults(datum) and coeffs[:n] == p_coeffs
-                        and r4[:n] == p_r4):
-                    lo, value = n, p_value
-            value *= Fraction(*_product_from(datum, coeffs, lo))
-            out.append(value)
-            prev = (datum, coeffs, r4, value)
-        return out
-    jobs = [(system.family, system.fixed_p, system.base_coeffs, lv) for lv in levels]
-    if max_workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_level_value, jobs, chunksize=8))
-    return [_level_value(job) for job in jobs]
+    prev = None  # (datum, f-coefficients, 4 rho, value) of the last level
+    if seed is not None:
+        prev = (*_level_rows(system, seed[0]), seed[1])
+    out = []
+    for level in levels:
+        datum, coeffs, r4 = _level_rows(system, level)
+        lo, value = 0, Fraction(1)
+        if prev is not None:
+            p_datum, p_coeffs, p_r4, p_value = prev
+            n = len(p_coeffs)
+            if (_mults(p_datum) == _mults(datum) and coeffs[:n] == p_coeffs
+                    and r4[:n] == p_r4):
+                lo, value = n, p_value
+        value *= Fraction(*_product_from(datum, coeffs, lo))
+        out.append(value)
+        prev = (datum, coeffs, r4, value)
+    return out
 
 
-def default_max_workers() -> int:
-    """Worker cap from the SPHELIM_THREADS environment variable (default 1)."""
-    raw = os.environ.get("SPHELIM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"SPHELIM_THREADS must be an integer, got {raw!r}") from None
-
-
-def c_sequence(system: DirectSystem, levels: Sequence[int],
-               max_workers: int = 1) -> CSequence:
-    """Exact overlap constants at the given levels (sorted, deduplicated).
-
-    Worker count only changes wall time, never values: finite-rank levels
-    may go to a process pool and are assembled in level order; infinite-rank
-    levels are folded in-process.
-    """
-    lvs = sorted(set(int(lv) for lv in levels))
-    if not lvs:
+def c_sequence(system: DirectSystem, levels: Sequence[int]) -> CSequence:
+    """Exact overlap constants at the given levels (sorted, deduplicated),
+    folded serially in level order."""
+    levels = list(levels)
+    if not levels:
         raise ValueError("need at least one level")
-    if lvs[0] < system.base_level:
-        raise ValueError(f"level {lvs[0]} is below the base level {system.base_level}")
-    vals = _values_at(system, lvs, max_workers)
-    return CSequence(system, tuple(lvs), tuple(vals))
+    return CSequence(system, (), ()).extended(levels)
 
 
 # --------------------------------------------------------------------------
@@ -497,7 +467,11 @@ def classify_scan(system: DirectSystem, max_level: int,
                   config: ClassifyConfig | None = None,
                   batch: int = 25, max_workers: int = 1) -> tuple[CSequence, ConvergenceReport]:
     """Extend a sequence level by level until classify() decides or the cap
-    is reached.  Returns the scanned sequence and the final report."""
+    is reached.  Returns the scanned sequence and the final report.
+
+    ``max_workers`` is ignored: every scan is serial.  It stays only so that
+    existing callers that pass ``max_workers=1`` keep working.
+    """
     config = config or ClassifyConfig()
     start = system.base_level
     if max_level < start:
@@ -507,7 +481,7 @@ def classify_scan(system: DirectSystem, max_level: int,
     while True:
         upto = min(max_level, level + batch - 1)
         chunk = list(range(level, upto + 1))
-        seq = c_sequence(system, chunk, max_workers) if seq is None else seq.extended(chunk, max_workers)
+        seq = c_sequence(system, chunk) if seq is None else seq.extended(chunk)
         report = classify(seq, config)
         if report.decided or upto == max_level:
             return seq, report

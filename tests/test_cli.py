@@ -143,11 +143,10 @@ class TestLimitScan:
         assert report["verdict"] == "ZeroLimit"
         assert report["evidence"]["certificate"]["epsilon"] == "1/1"
 
-    def test_byte_deterministic_reruns(self, capsys, monkeypatch):
+    def test_byte_deterministic_reruns(self, capsys):
         argv = ["limit-scan", "--family", "grass-real", "--coeffs", "1,1",
                 "--p", "2", "--max-level", "120"]
         _, first, _ = run_cli(capsys, *argv)
-        monkeypatch.setenv("SPHELIM_THREADS", "2")
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
@@ -169,10 +168,18 @@ class TestLimitScan:
 
     def test_config_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("familly = rank1-real\n")
-        code, _, err = run_cli(capsys, "limit-scan", "--config", str(cfg))
-        assert code == 2
-        assert "unknown key" in err
+        for line in ("familly = rank1-real", "workers = 2"):
+            cfg.write_text(f"family = rank1-real\ncoeffs = 1\n{line}\n")
+            code, _, err = run_cli(capsys, "limit-scan", "--config", str(cfg))
+            assert code == 2
+            assert "unknown key" in err
+
+    def test_workers_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["limit-scan", "--family", "rank1-real", "--coeffs", "1",
+                  "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_missing_required_options(self, capsys):
         code, _, err = run_cli(capsys, "limit-scan", "--family", "group-su")

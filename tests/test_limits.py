@@ -21,7 +21,6 @@ from sphelim.limits import (
     classify_scan,
     datum_at_level,
     decay_bound,
-    default_max_workers,
     divergence_certificate,
     infinite_rank_root_sequence,
     propagate,
@@ -107,8 +106,12 @@ class TestCSequenceConstruction:
         system = DirectSystem("rank1-real", (1,))
         with pytest.raises(ValueError, match="at least one level"):
             c_sequence(system, [])
+        with pytest.raises(ValueError, match="at least one level"):
+            c_sequence(system, (lv for lv in ()))
         with pytest.raises(ValueError, match="below the base level"):
             c_sequence(DirectSystem("group-su", (0, 1)), [1, 2])
+        with pytest.raises(ValueError, match="below the base level"):
+            c_sequence(DirectSystem("grass-real", (1, 1, 1), fixed_p=3), [5, 2])
 
     def test_extended_merges_and_skips_duplicates(self):
         system = DirectSystem("rank1-real", (1,))
@@ -128,29 +131,6 @@ class TestCSequenceConstruction:
         seq = c_sequence(DirectSystem("group-su", (0, 1)), [2, 3])
         with pytest.raises(ValueError, match="below the base level"):
             seq.extended([1])
-
-    def test_parallel_matches_serial_finite_rank(self):
-        system = DirectSystem("grass-quaternion", (1, 1), fixed_p=2)
-        serial = c_sequence(system, range(2, 12))
-        parallel = c_sequence(system, range(2, 12), max_workers=2)
-        assert serial == parallel
-
-    def test_parallel_matches_serial(self):
-        system = DirectSystem("group-sp", (1, 1))
-        serial = c_sequence(system, range(2, 12))
-        parallel = c_sequence(system, range(2, 12), max_workers=2)
-        assert serial == parallel
-
-    def test_default_max_workers(self, monkeypatch):
-        monkeypatch.delenv("SPHELIM_THREADS", raising=False)
-        assert default_max_workers() == 1
-        monkeypatch.setenv("SPHELIM_THREADS", "4")
-        assert default_max_workers() == 4
-        monkeypatch.setenv("SPHELIM_THREADS", "0")
-        assert default_max_workers() == 1
-        monkeypatch.setenv("SPHELIM_THREADS", "many")
-        with pytest.raises(ValueError, match="SPHELIM_THREADS"):
-            default_max_workers()
 
 
 class TestRankOneChain:
@@ -250,6 +230,13 @@ def _first_weight_systems():
 
 FIRST_WEIGHT_SYSTEMS = _first_weight_systems()
 FIRST_WEIGHT_IDS = [f"{s.family}{s.base_coeffs}" for s in FIRST_WEIGHT_SYSTEMS]
+# finite-rank chains: rho and the multiplicities move with q, so every level
+# is the whole product
+FOLD_SYSTEMS = FIRST_WEIGHT_SYSTEMS + [
+    DirectSystem(family, (1,) * p, fixed_p=p)
+    for family in FINITE_FAMILIES for p in (1, 2, 3)
+] + [DirectSystem("rank1-real", (1,))]
+FOLD_IDS = [f"{s.family}{s.base_coeffs}" for s in FOLD_SYSTEMS]
 FOLD_TOP = 30
 
 
@@ -258,26 +245,22 @@ def _from_scratch(system, levels):
 
 
 class TestIncrementalFold:
-    """Infinite-rank levels are folded from the level below; every path
-    into the fold must give the from-scratch values."""
+    """Every chain is folded serially from the level below; every path into
+    the fold must give the from-scratch values."""
 
-    @pytest.mark.parametrize("system", FIRST_WEIGHT_SYSTEMS, ids=FIRST_WEIGHT_IDS)
+    @pytest.mark.parametrize("system", FOLD_SYSTEMS, ids=FOLD_IDS)
     def test_contiguous_levels_match_from_scratch(self, system):
         levels = range(system.base_level, FOLD_TOP + 1)
         assert c_sequence(system, levels).values == _from_scratch(system, levels)
 
-    @pytest.mark.parametrize("system", FIRST_WEIGHT_SYSTEMS, ids=FIRST_WEIGHT_IDS)
-    def test_scans_agree_over_batch_and_workers(self, system):
+    @pytest.mark.parametrize("system", FOLD_SYSTEMS, ids=FOLD_IDS)
+    def test_scans_agree_over_batch(self, system):
         for batch in (1, 7, FOLD_TOP):
-            runs = [classify_scan(system, FOLD_TOP, batch=batch, max_workers=workers)
-                    for workers in (1, 2)]
-            (seq, report), (seq2, report2) = runs
-            assert seq == seq2
-            assert report == report2 and report.evidence == report2.evidence
+            seq, report = classify_scan(system, FOLD_TOP, batch=batch)
             assert seq.values == _from_scratch(system, seq.levels)
             assert report.evidence == classify(c_sequence(system, seq.levels)).evidence
 
-    @pytest.mark.parametrize("system", FIRST_WEIGHT_SYSTEMS, ids=FIRST_WEIGHT_IDS)
+    @pytest.mark.parametrize("system", FOLD_SYSTEMS, ids=FOLD_IDS)
     def test_noncontiguous_levels_match_from_scratch(self, system):
         levels = (max(3, system.base_level), 10, 25)
         seq = c_sequence(system, levels)
