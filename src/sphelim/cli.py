@@ -395,6 +395,10 @@ def _self_checks():
         assert mc.estimate == 1.0 and mc.target == 1.0 and mc.zscore() == 0.0
         mc2 = mc_functional_equation(3, 2, planar_rotation(4, 0.9), planar_rotation(4, 0.4), 4096, 11)
         assert mc2.zscore() <= 4.0, mc2
+        # y fixes the base direction (b' = 0): every sample's t is x[0, 0]
+        mc3 = mc_functional_equation(3, 3, planar_rotation(4, 0.9),
+                                     planar_rotation(4, 0.4, axes=(1, 2)), 4096, 11)
+        assert abs(mc3.estimate - mc3.target) <= 1e-15 and mc3.std_error <= 1e-9, mc3
 
     return [
         ("rank-one exact values", rank_one_values),

@@ -413,15 +413,25 @@ def classify(seq: CSequence, config: ClassifyConfig | None = None) -> Convergenc
     witness-root certificate or from crossing the floor, whichever is
     available.  Anything else stays Undecided with a request for more levels.
     """
-    config = config or ClassifyConfig()
     if not seq.levels:
         raise ValueError("empty sequence")
-    for earlier, later in zip(seq.values, seq.values[1:]):
+    _check_nonincreasing(seq.values, 0)
+    return _decide(seq, config or ClassifyConfig())
+
+
+def _check_nonincreasing(values: Sequence[Fraction], start: int) -> None:
+    """Raise if values[start:] ever increases; earlier pairs are trusted."""
+    tail = values[start:]
+    for earlier, later in zip(tail, tail[1:]):
         if later > earlier:
             raise ValueError(
                 "overlap sequence increased between levels; this cannot happen "
                 "for a propagated dominant weight and indicates an upstream bug"
             )
+
+
+def _decide(seq: CSequence, config: ClassifyConfig) -> ConvergenceReport:
+    """The verdict of ``classify`` on a nonempty, checked nonincreasing sequence."""
     last_level, last_value = seq.last()
     base_evidence = {
         "mode": seq.system.mode,
@@ -429,7 +439,8 @@ def classify(seq: CSequence, config: ClassifyConfig | None = None) -> Convergenc
         "last_level": last_level,
         "last_value": last_value,
     }
-    if all(v == 1 for v in seq.values):
+    # nonincreasing, so every value is 1 exactly when the first and last are
+    if seq.values[0] == 1 and last_value == 1:
         return ConvergenceReport(VERDICT_POSITIVE, 1.0,
                                  base_evidence | {"constant_one": True})
     if seq.system.mode == MODE_FINITE:
@@ -481,8 +492,15 @@ def classify_scan(system: DirectSystem, max_level: int,
     while True:
         upto = min(max_level, level + batch - 1)
         chunk = list(range(level, upto + 1))
-        seq = c_sequence(system, chunk) if seq is None else seq.extended(chunk)
-        report = classify(seq, config)
+        if seq is None:
+            seq, checked = c_sequence(system, chunk), 0
+        else:
+            # the chunk lies above every known level, so it is appended:
+            # only the pair at the seam and the new tail need checking
+            checked = len(seq.values) - 1
+            seq = seq.extended(chunk)
+        _check_nonincreasing(seq.values, checked)
+        report = _decide(seq, config)
         if report.decided or upto == max_level:
             return seq, report
         level = upto + 1

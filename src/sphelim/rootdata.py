@@ -220,7 +220,7 @@ _register(FamilyRow("su-over-so", "6", "SU(n)", "SO(n)", "A", "n",
                     _const(1), _const(1), _const(0), None, lambda n: n - 1, min_n=2))
 _register(FamilyRow("su-over-sp", "7", "SU(2n)", "Sp(n)", "A", "n",
                     _const(4), _const(4), _const(0), None, lambda n: n - 1, min_n=2))
-_register(FamilyRow("grass-real", "8", "SO(p+q)", "SO(p) x SO(q)", "C", "pq",
+_register(FamilyRow("grass-real", "8", "SO(p+q)", "S(O(p) x O(q))", "C", "pq",
                     _const(1), _const(0), lambda p, q: q - p, 1, lambda p, q: p))
 _register(FamilyRow("so-over-u-even", "9.1", "SO(4n)", "U(2n)", "C", "n",
                     _const(4), _const(1), _const(0), None, lambda n: n))
@@ -230,8 +230,9 @@ _register(FamilyRow("grass-quaternion", "10", "Sp(p+q)", "Sp(p) x Sp(q)", "C", "
                     _const(4), _const(3), lambda p, q: 4 * (q - p), 4, lambda p, q: p))
 _register(FamilyRow("sp-over-u", "11", "Sp(n)", "U(n)", "C", "n",
                     _const(1), _const(0), _const(0), None, lambda n: n))
-# convenience alias: the p = 1 real Grassmannian chain (spheres)
-_register(FamilyRow("rank1-real", "8", "SO(1+q)", "SO(q)", "C", "pq",
+# convenience alias: the p = 1 real Grassmannian chain, the real projective
+# spaces RP^q (c_value at (k,) is the degree-2k zonal coefficient on S^q)
+_register(FamilyRow("rank1-real", "8", "SO(1+q)", "S(O(1) x O(q))", "C", "pq",
                     _const(1), _const(0), lambda p, q: q - p, 1, lambda p, q: 1,
                     fixed_p=1))
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sphelim import limits
 from sphelim.cfunc import CFactorParams, c_value
 from sphelim.limits import (
     MODE_FINITE,
@@ -333,6 +334,26 @@ class TestClassifierEdges:
         bogus = CSequence(system, (2, 3), (Fraction(1, 3), Fraction(3, 8)))
         with pytest.raises(ValueError, match="upstream bug"):
             classify(bogus)
+
+    @pytest.mark.parametrize("bad_index", [25, 37])
+    def test_scan_monotonicity_guard(self, monkeypatch, bad_index):
+        # classify_scan checks each batch only from the last known value on;
+        # an increase at the seam (index 25) or inside a later batch still raises
+        real = limits._values_at
+        calls = []
+
+        def bumped(system, levels, seed=None):
+            values = real(system, levels, seed)
+            start = sum(calls)
+            calls.append(len(values))
+            if start <= bad_index < start + len(values):
+                values[bad_index - start] *= 2
+            return values
+
+        monkeypatch.setattr(limits, "_values_at", bumped)
+        with pytest.raises(ValueError, match="increased"):
+            classify_scan(DirectSystem("grass-real", (1, 1, 1), fixed_p=3), max_level=400)
+        assert sum(calls) > bad_index
 
     def test_empty_sequence_rejected(self):
         system = DirectSystem("rank1-real", (1,))

@@ -1,5 +1,6 @@
 """Zonal functions on spheres: closed forms, an orthogonal-polynomial oracle,
-the defining ODE, Haar sampling, and the Monte-Carlo functional equation."""
+the defining ODE, Haar sampling, the orbit sampler against the full-matrix
+sampler, and the Monte-Carlo functional equation."""
 
 import math
 
@@ -10,6 +11,8 @@ import pytest
 from sphelim.sphere import (
     MCResult,
     ZonalFunction,
+    _haar_block,
+    _sample_t,
     haar_rotation,
     haar_sample_stabilizer,
     limit_zonal,
@@ -211,6 +214,50 @@ class TestStabilizerSampling:
             haar_sample_stabilizer(0, 1, seed=0)
 
 
+def _ks_statistic(u, v):
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_u - F_v|."""
+    u, v = np.sort(u), np.sort(v)
+    points = np.concatenate([u, v])
+    cdf_u = np.searchsorted(u, points, side="right") / u.size
+    cdf_v = np.searchsorted(v, points, side="right") / v.size
+    return float(np.max(np.abs(cdf_u - cdf_v)))
+
+
+class TestOrbitSampler:
+    """The orbit draw t = a0 b0 + |b'| (a'.g)/|g| against the full Haar QR
+    draw t = a0 b0 + a'.Q b', which it replaces in the Monte-Carlo check."""
+
+    COUNT = 20000
+
+    def _both_samplers(self, n):
+        x = haar_rotation(n + 1, 1, seed=300 + n)[0]
+        y = haar_rotation(n + 1, 1, seed=400 + n)[0]
+        a, b = x[0, :], y[:, 0]
+        orbit = _sample_t(a, b, self.COUNT, np.random.default_rng(500 + n))
+        q = _haar_block(n, self.COUNT, np.random.default_rng(600 + n))
+        full = a[0] * b[0] + np.einsum("i,sij,j->s", a[1:], q, b[1:])
+        return a, b, orbit, full
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_exact_moments(self, n):
+        # a'.u for u uniform on S^(n-1) has mean 0 and second moment |a'|^2/n
+        a, b, orbit, full = self._both_samplers(n)
+        m1 = a[0] * b[0]
+        m2 = m1 ** 2 + float(a[1:] @ a[1:]) * float(b[1:] @ b[1:]) / n
+        for t in (orbit, full):
+            for values, want in ((t, m1), (t * t, m2)):
+                se = float(np.std(values, ddof=1)) / math.sqrt(values.size)
+                assert abs(float(np.mean(values)) - want) <= 4.0 * se
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_same_law_as_full_qr(self, n):
+        _, _, orbit, full = self._both_samplers(n)
+        # asymptotic two-sample KS critical value at alpha = 0.001
+        c_alpha = math.sqrt(-0.5 * math.log(0.001 / 2))
+        critical = c_alpha * math.sqrt(2.0 / self.COUNT)
+        assert _ks_statistic(orbit, full) < critical
+
+
 class TestMCResult:
     def test_zscore_branches(self):
         assert MCResult(1.0, 0.1, 1.2, 10).zscore() == pytest.approx(2.0)
@@ -241,6 +288,29 @@ class TestFunctionalEquation:
             result = mc_functional_equation(3, k, x, y, samples=20000, seed=42 + k)
             assert result.samples == 20000
             assert result.zscore() <= 4.0
+
+    def test_exact_when_y_fixes_base_direction(self):
+        # b' = 0: every sample's t is a0 b0 = x[0, 0], whatever the draw
+        x = planar_rotation(4, 0.9)
+        y = planar_rotation(4, 0.4, axes=(1, 2))
+        for k in (1, 2, 3):
+            result = mc_functional_equation(3, k, x, y, samples=5000, seed=k)
+            assert result.estimate == pytest.approx(result.target, rel=1e-14, abs=1e-15)
+            assert result.std_error <= 1e-9  # the one-pass variance leaves rounding only
+
+    def test_large_n(self):
+        """Criterion 9's check at the dimensions of criterion 8: z <= 4 at
+        1e5 samples for n in {30, 100, 200}, k <= 3, planar and Haar x, y."""
+        for n in (30, 100, 200):
+            base = 20240817 + 10 * n
+            pairs = ((planar_rotation(n + 1, 0.9), planar_rotation(n + 1, 0.4)),
+                     (haar_rotation(n + 1, 1, seed=base + 101)[0],
+                      haar_rotation(n + 1, 1, seed=base + 202)[0]))
+            for x, y in pairs:
+                for k in range(4):
+                    result = mc_functional_equation(n, k, x, y, samples=10 ** 5,
+                                                    seed=base + k)
+                    assert result.zscore() <= 4.0, (n, k, result)
 
     def test_bitwise_reproducible(self):
         x = planar_rotation(6, 1.1)
