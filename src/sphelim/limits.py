@@ -11,12 +11,11 @@ sits on, attaching a divergence certificate in the infinite-rank case.
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cfunc import _product_from
 from .rootdata import (
@@ -147,37 +146,28 @@ class CSequence:
         return self.levels[-1], self.values[-1]
 
     def extended(self, more_levels: Sequence[int]) -> "CSequence":
-        known = set(self.levels)
-        fresh = sorted(set(int(lv) for lv in more_levels) - known)
+        fresh = sorted(set(int(lv) for lv in more_levels) - set(self.levels))
         if not fresh:
             return self
-        # the fold starts from the closest known level below
-        below = bisect.bisect_left(self.levels, fresh[0])
-        seed = (self.levels[below - 1], self.values[below - 1]) if below else None
-        add = _values_at(self.system, fresh, seed)
-        merged = sorted(zip(self.levels + tuple(fresh), self.values + tuple(add)))
+        merged = sorted(zip(self.levels + tuple(fresh),
+                            self.values + tuple(_values_at(self.system, fresh))))
         return CSequence(self.system,
                          tuple(lv for lv, _ in merged),
                          tuple(v for _, v in merged))
 
 
-def _values_at(system: DirectSystem, levels: Sequence[int],
-               seed: tuple[int, Fraction] | None = None) -> list[Fraction]:
+def _values_at(system: DirectSystem, levels: Iterable[int]) -> Iterator[Fraction]:
     """Exact values at ascending levels, folded serially from one level to
-    the next.
+    the next and yielded one at a time.
 
     When the multiplicities agree and the weight's f-coefficients and rho
     only grow by new trailing entries (every infinite-rank chain), a value
     is the one before it times the factors of the roots that reach the new
     indices (the one-step overlap q(n+1, n)^2).  Otherwise (a Grassmannian
-    chain, whose multiplicities and rho move with q) the level is the whole
-    product, as ``c_value`` computes it.  ``seed`` is a known (level, value)
-    below ``levels[0]`` to start the fold from.
+    chain, whose multiplicities and rho move with q, or the first level)
+    the level is the whole product, as ``c_value`` computes it.
     """
     prev = None  # (datum, f-coefficients, 4 rho, value) of the last level
-    if seed is not None:
-        prev = (*_level_rows(system, seed[0]), seed[1])
-    out = []
     for level in levels:
         datum, coeffs, r4 = _level_rows(system, level)
         lo, value = 0, Fraction(1)
@@ -188,9 +178,8 @@ def _values_at(system: DirectSystem, levels: Sequence[int],
                     and r4[:n] == p_r4):
                 lo, value = n, p_value
         value *= Fraction(*_product_from(datum, coeffs, lo))
-        out.append(value)
+        yield value
         prev = (datum, coeffs, r4, value)
-    return out
 
 
 def c_sequence(system: DirectSystem, levels: Sequence[int]) -> CSequence:
@@ -364,20 +353,18 @@ class ClassifyConfig:
     """Thresholds for the convergence verdict.
 
     zero_floor: crossing it (infinite-rank mode) yields ZeroLimit even
-    without a certificate.  positive_floor: a PositiveLimit verdict demands
-    the stabilized values stay above it (default: bare positivity, which
-    exact arithmetic gives for free).  window/rtol: the last ``window``
-    levels must have consecutive relative changes below ``rtol``.
+    without a certificate.  window/rtol: a PositiveLimit verdict (finite-rank
+    mode) needs the last ``window`` levels to have consecutive relative
+    changes below ``rtol``; the values themselves are positive, since every
+    exact value is a product of positive factors.
     """
 
     zero_floor: Fraction = Fraction(1, 10 ** 6)
-    positive_floor: Fraction = Fraction(0)
     window: int = 5
     rtol: float = 1e-4
 
     def __post_init__(self):
         object.__setattr__(self, "zero_floor", Fraction(self.zero_floor))
-        object.__setattr__(self, "positive_floor", Fraction(self.positive_floor))
         if self.window < 2:
             raise ValueError("window must be at least 2")
         if self.rtol <= 0 or self.zero_floor <= 0:
@@ -415,19 +402,18 @@ def classify(seq: CSequence, config: ClassifyConfig | None = None) -> Convergenc
     """
     if not seq.levels:
         raise ValueError("empty sequence")
-    _check_nonincreasing(seq.values, 0)
+    for earlier, later in zip(seq.values, seq.values[1:]):
+        _check_step(earlier, later)
     return _decide(seq, config or ClassifyConfig())
 
 
-def _check_nonincreasing(values: Sequence[Fraction], start: int) -> None:
-    """Raise if values[start:] ever increases; earlier pairs are trusted."""
-    tail = values[start:]
-    for earlier, later in zip(tail, tail[1:]):
-        if later > earlier:
-            raise ValueError(
-                "overlap sequence increased between levels; this cannot happen "
-                "for a propagated dominant weight and indicates an upstream bug"
-            )
+def _check_step(earlier: Fraction, later: Fraction) -> None:
+    """Raise if the value at a level exceeds the one at the level below."""
+    if later > earlier:
+        raise ValueError(
+            "overlap sequence increased between levels; this cannot happen "
+            "for a propagated dominant weight and indicates an upstream bug"
+        )
 
 
 def _decide(seq: CSequence, config: ClassifyConfig) -> ConvergenceReport:
@@ -448,7 +434,7 @@ def _decide(seq: CSequence, config: ClassifyConfig) -> ConvergenceReport:
         if len(seq.values) >= w:
             tail = seq.values[-w:]
             rels = [float((hi - lo) / hi) for hi, lo in zip(tail, tail[1:])]
-            if max(rels) < config.rtol and min(tail) > config.positive_floor:
+            if max(rels) < config.rtol:
                 estimate = _richardson(seq.levels, seq.values)
                 return ConvergenceReport(VERDICT_POSITIVE, estimate, base_evidence | {
                     "stabilization_window": list(seq.levels[-w:]),
@@ -477,30 +463,30 @@ def _decide(seq: CSequence, config: ClassifyConfig) -> ConvergenceReport:
 def classify_scan(system: DirectSystem, max_level: int,
                   config: ClassifyConfig | None = None,
                   batch: int = 25, max_workers: int = 1) -> tuple[CSequence, ConvergenceReport]:
-    """Extend a sequence level by level until classify() decides or the cap
-    is reached.  Returns the scanned sequence and the final report.
+    """Scan the chain from its base level up, one level at a time, until the
+    verdict is decided or ``max_level`` is reached.  Returns the scanned
+    sequence and the final report.
 
-    ``max_workers`` is ignored: every scan is serial.  It stays only so that
-    existing callers that pass ``max_workers=1`` keep working.
+    Values come from one serial fold, and each is checked against the one
+    below it as it arrives.  The verdict is taken every ``batch`` levels and
+    at ``max_level``, so ``batch`` sets where a scan may stop, never the
+    value at a level.  ``max_workers`` is ignored: every scan is serial.  It
+    stays only so that existing callers that pass ``max_workers=1`` keep
+    working.
     """
     config = config or ClassifyConfig()
-    start = system.base_level
-    if max_level < start:
+    if max_level < system.base_level:
         raise ValueError("max_level is below the base level")
-    seq = None
-    level = start
-    while True:
-        upto = min(max_level, level + batch - 1)
-        chunk = list(range(level, upto + 1))
-        if seq is None:
-            seq, checked = c_sequence(system, chunk), 0
-        else:
-            # the chunk lies above every known level, so it is appended:
-            # only the pair at the seam and the new tail need checking
-            checked = len(seq.values) - 1
-            seq = seq.extended(chunk)
-        _check_nonincreasing(seq.values, checked)
-        report = _decide(seq, config)
-        if report.decided or upto == max_level:
-            return seq, report
-        level = upto + 1
+    if batch < 1:
+        raise ValueError("batch must be at least 1")
+    levels = range(system.base_level, max_level + 1)
+    values = []
+    for level, value in zip(levels, _values_at(system, levels)):
+        if values:
+            _check_step(values[-1], value)
+        values.append(value)
+        if len(values) % batch == 0 or level == max_level:
+            seq = CSequence(system, tuple(levels[:len(values)]), tuple(values))
+            report = _decide(seq, config)
+            if report.decided or level == max_level:
+                return seq, report

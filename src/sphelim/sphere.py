@@ -22,11 +22,22 @@ The full Haar sampler (QR with Mezzadri's sign fix) stays as the public
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 _BLOCK = 4096  # fixed RNG block: sample i depends only on (seed, i), not count
+
+
+def _blocks(seed: int, count: int) -> Iterator[tuple[int, np.random.Generator]]:
+    """(take, rng) for each block of up to ``_BLOCK`` samples out of count.
+
+    Block j draws from its own child stream SeedSequence(seed, spawn_key=(j,)),
+    so the i-th sample depends only on (seed, i), whatever the count.
+    """
+    for block, done in enumerate(range(0, count, _BLOCK)):
+        seq = np.random.SeedSequence(seed, spawn_key=(block,))
+        yield min(_BLOCK, count - done), np.random.default_rng(seq)
 
 
 def _validate_nk(n: int, k: int):
@@ -147,15 +158,8 @@ def haar_rotation(dim: int, count: int, seed: int) -> np.ndarray:
     """
     if dim < 1 or count < 0:
         raise ValueError("need dim >= 1 and count >= 0")
-    out = np.empty((count, dim, dim))
-    done, block = 0, 0
-    while done < count:
-        take = min(_BLOCK, count - done)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
-        out[done:done + take] = _haar_block(dim, take, rng)
-        done += take
-        block += 1
-    return out
+    return np.concatenate([np.empty((0, dim, dim))] +
+                          [_haar_block(dim, take, rng) for take, rng in _blocks(seed, count)])
 
 
 def haar_sample_stabilizer(n: int, count: int, seed: int) -> np.ndarray:
@@ -224,7 +228,9 @@ def mc_functional_equation(n: int, k: int, x, y, samples: int, seed: int) -> MCR
     b' = y[1:, 0] to a uniform point of its sphere.  Uses the same blocked
     RNG scheme as haar_rotation, accumulating block sums and combining them
     with exact float summation, so results are reproducible for a fixed
-    (seed, samples).
+    (seed, samples).  The sums are of the values minus the first one, so
+    the variance does not cancel: a sample of equal values has the exact
+    mean and std_error 0.
     """
     _validate_nk(n, k)
     if samples < 1:
@@ -236,22 +242,18 @@ def mc_functional_equation(n: int, k: int, x, y, samples: int, seed: int) -> MCR
     tx = min(1.0, max(-1.0, x[0, 0]))
     ty = min(1.0, max(-1.0, y[0, 0]))
     target = zonal_eval(n, k, tx) * zonal_eval(n, k, ty)
+    shift = None
     sums, sqs = [], []
-    done, block = 0, 0
-    while done < samples:
-        take = min(_BLOCK, samples - done)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+    for take, rng in _blocks(seed, samples):
         t = _sample_t(a, b, take, rng)
         np.clip(t, -1.0, 1.0, out=t)
         vals = _eval_with_derivatives(n, k, t)[0]
-        sums.append(float(vals.sum()))
-        sqs.append(float((vals * vals).sum()))
-        done += take
-        block += 1
-    mean = math.fsum(sums) / samples
-    if samples > 1:
-        raw_var = math.fsum(sqs) / samples - mean * mean
-        var = max(0.0, raw_var) * samples / (samples - 1)
-    else:
-        var = 0.0
+        if shift is None:
+            shift = float(vals[0])
+        d = vals - shift
+        sums.append(float(d.sum()))
+        sqs.append(float((d * d).sum()))
+    total, squares = math.fsum(sums), math.fsum(sqs)
+    mean = shift + total / samples
+    var = max(0.0, squares - total * total / samples) / (samples - 1) if samples > 1 else 0.0
     return MCResult(mean, math.sqrt(var / samples), float(target), samples)

@@ -1,6 +1,7 @@
 """Command-line interface: JSON/CSV output shapes, determinism, config
 precedence, exit codes, and the built-in invariant suite."""
 
+import hashlib
 import importlib
 import json
 import math
@@ -168,18 +169,40 @@ class TestLimitScan:
 
     def test_config_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        for line in ("familly = rank1-real", "workers = 2"):
+        for line in ("familly = rank1-real", "workers = 2", "positive_floor = 0"):
             cfg.write_text(f"family = rank1-real\ncoeffs = 1\n{line}\n")
             code, _, err = run_cli(capsys, "limit-scan", "--config", str(cfg))
             assert code == 2
             assert "unknown key" in err
 
-    def test_workers_flag_removed(self, capsys):
+    @pytest.mark.parametrize("flag", ["--workers", "--positive-floor"])
+    def test_removed_flags(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
-            main(["limit-scan", "--family", "rank1-real", "--coeffs", "1",
-                  "--workers", "2"])
+            main(["limit-scan", "--family", "rank1-real", "--coeffs", "1", flag, "2"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("batch", ["0", "-1"])
+    def test_batch_below_one_exits_two(self, capsys, batch):
+        code, out, err = run_cli(capsys, "limit-scan", "--family", "rank1-real",
+                                 "--coeffs", "1", "--batch", batch)
+        assert code == 2 and out == ""
+        assert "batch must be at least 1" in err
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("rank1-real --coeffs 1 --max-level 150 --batch 7",
+         "72246742160aff6d22cdef2e04280246f5363ff23ba2efde1c50e8770da9ff66"),
+        ("group-sp --coeffs 1,1 --max-level 60",
+         "8112b01d210a5d55d35968f807f589aea553e1dcc60caff11e44b344e96ed64f"),
+        ("grass-quaternion --p 3 --coeffs 1,1,1 --max-level 2000",
+         "ee974f72618d40b605644dc78b39ae306d665ac55761c4a85b1dd6252f0d16dd"),
+    ])
+    def test_pinned_bytes(self, capsys, argv, digest):
+        # stdout is documented as byte-deterministic; these digests were
+        # taken before the scan became a single fold and must not move
+        code, out, _ = run_cli(capsys, "limit-scan", "--family", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_missing_required_options(self, capsys):
         code, _, err = run_cli(capsys, "limit-scan", "--family", "group-su")
@@ -224,6 +247,14 @@ class TestMCCheck:
                                "--samples", "500", "--max-z", "-1")
         assert code == 1
         assert json.loads(out)["pass"] is False
+
+    def test_constant_sample_is_exact(self, capsys):
+        # --theta-y 0 makes y the identity, so every sample equals the target
+        code, out, _ = run_cli(capsys, "mc-check", "--n", "3", "--k", "3", "--theta-y", "0")
+        assert code == 0
+        report = json.loads(out)
+        assert report["estimate"] == report["target"]
+        assert report["std_error"] == 0.0 and report["zscore"] == 0.0
 
     def test_haar_endpoints(self, capsys):
         code, out, _ = run_cli(capsys, "mc-check", "--n", "4", "--k", "2",

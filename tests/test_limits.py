@@ -318,6 +318,11 @@ class TestFiniteChains:
         with pytest.raises(ValueError, match="below the base level"):
             classify_scan(DirectSystem("grass-real", (1, 1, 1), fixed_p=3), max_level=2)
 
+    @pytest.mark.parametrize("batch", [0, -3])
+    def test_batch_below_one(self, batch):
+        with pytest.raises(ValueError, match="batch must be at least 1"):
+            classify_scan(DirectSystem("rank1-real", (1,)), max_level=150, batch=batch)
+
 
 class TestClassifierEdges:
     def test_trivial_weight_is_constant_one(self):
@@ -337,23 +342,47 @@ class TestClassifierEdges:
 
     @pytest.mark.parametrize("bad_index", [25, 37])
     def test_scan_monotonicity_guard(self, monkeypatch, bad_index):
-        # classify_scan checks each batch only from the last known value on;
-        # an increase at the seam (index 25) or inside a later batch still raises
+        # classify_scan checks each value as the fold yields it; an increase
+        # at a batch boundary (index 25) or inside a batch still raises
         real = limits._values_at
-        calls = []
+        seen = []
 
-        def bumped(system, levels, seed=None):
-            values = real(system, levels, seed)
-            start = sum(calls)
-            calls.append(len(values))
-            if start <= bad_index < start + len(values):
-                values[bad_index - start] *= 2
-            return values
+        def bumped(system, levels):
+            for index, value in enumerate(real(system, levels)):
+                seen.append(index)
+                yield 2 * value if index == bad_index else value
 
         monkeypatch.setattr(limits, "_values_at", bumped)
         with pytest.raises(ValueError, match="increased"):
             classify_scan(DirectSystem("grass-real", (1, 1, 1), fixed_p=3), max_level=400)
-        assert sum(calls) > bad_index
+        assert seen[-1] == bad_index
+
+    @pytest.mark.parametrize("system", [DirectSystem("grass-real", (1, 1, 1), fixed_p=3),
+                                        DirectSystem("group-sp", (1,))],
+                             ids=["grass-real-p3", "group-sp"])
+    @pytest.mark.parametrize("batch", [1, 25])
+    def test_scan_builds_each_level_once(self, monkeypatch, system, batch):
+        # the fold builds every scanned level once; the witness certificate
+        # of an infinite-rank chain builds its own levels, counted apart
+        real_build, real_cert = limits.build_space, limits._certificate_evidence
+        fold_calls, in_cert = [0], [False]
+
+        def counting_build(*args, **kwargs):
+            fold_calls[0] += not in_cert[0]
+            return real_build(*args, **kwargs)
+
+        def marked_cert(seq):
+            in_cert[0] = True
+            try:
+                return real_cert(seq)
+            finally:
+                in_cert[0] = False
+
+        monkeypatch.setattr(limits, "build_space", counting_build)
+        monkeypatch.setattr(limits, "_certificate_evidence", marked_cert)
+        seq, report = classify_scan(system, max_level=2000, batch=batch)
+        assert report.decided
+        assert fold_calls[0] == len(seq.levels)
 
     def test_empty_sequence_rejected(self):
         system = DirectSystem("rank1-real", (1,))

@@ -295,8 +295,8 @@ class TestFunctionalEquation:
         y = planar_rotation(4, 0.4, axes=(1, 2))
         for k in (1, 2, 3):
             result = mc_functional_equation(3, k, x, y, samples=5000, seed=k)
-            assert result.estimate == pytest.approx(result.target, rel=1e-14, abs=1e-15)
-            assert result.std_error <= 1e-9  # the one-pass variance leaves rounding only
+            assert result.estimate == result.target
+            assert result.std_error == 0.0
 
     def test_large_n(self):
         """Criterion 9's check at the dimensions of criterion 8: z <= 4 at
