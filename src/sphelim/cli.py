@@ -76,10 +76,6 @@ def to_jsonable(obj):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 
@@ -95,6 +91,13 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         return tuple(int(piece) for piece in items)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
+
+
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 # --------------------------------------------------------------------------
@@ -169,7 +172,7 @@ _SCAN_KEYS = {
                "help": "base fundamental-weight coefficients, e.g. 1,0"},
     "p": {"type": int, "help": "fixed p for Grassmannian chains"},
     "max_level": {"type": int, "help": "highest level to scan (default 200)"},
-    "zero_floor": {"type": Fraction},
+    "zero_floor": {"type": _parse_fraction},
     "window": {"type": int},
     "rtol": {"type": float},
     "batch": {"type": int},
@@ -189,7 +192,10 @@ def _load_config(path: str) -> dict:
         key = key.replace("-", "_")
         if key not in _SCAN_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        opts[key] = _SCAN_KEYS[key].get("type", str)(value)
+        try:
+            opts[key] = _SCAN_KEYS[key].get("type", str)(value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad {key} value {value!r} ({exc})") from None
     return opts
 
 
@@ -198,7 +204,7 @@ def cmd_limit_scan(args) -> int:
     if args.config:
         try:
             merged.update(_load_config(args.config))
-        except (OSError, ValueError, ZeroDivisionError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     merged.update((key, flag) for key in _SCAN_KEYS
@@ -236,9 +242,14 @@ def cmd_limit_scan(args) -> int:
 def cmd_sphere_verify(args) -> int:
     n, k = args.n, args.k
     try:
+        if args.grid < 1:
+            raise ValueError("grid must be at least 1")
         grid = np.linspace(-1.0, 1.0, args.grid)
         values = zonal_eval(n, k, grid)
         residual = ode_residual(n, k, grid)
+        x = planar_rotation(n + 1, args.theta)
+        y = planar_rotation(n + 1, args.theta_y)
+        mc = mc_functional_equation(n, k, x, y, args.samples, args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -251,9 +262,6 @@ def cmd_sphere_verify(args) -> int:
         Path(args.csv).write_text(csv_text)
     else:
         sys.stdout.write(csv_text)
-    x = planar_rotation(n + 1, args.theta)
-    y = planar_rotation(n + 1, args.theta_y)
-    mc = mc_functional_equation(n, k, x, y, args.samples, args.seed)
     emit_json({
         "n": n,
         "k": k,
@@ -272,13 +280,13 @@ def cmd_sphere_verify(args) -> int:
 
 def cmd_mc_check(args) -> int:
     n, k = args.n, args.k
-    if args.haar_xy:
-        x = haar_rotation(n + 1, 1, args.seed + 101)[0]
-        y = haar_rotation(n + 1, 1, args.seed + 202)[0]
-    else:
-        x = planar_rotation(n + 1, args.theta)
-        y = planar_rotation(n + 1, args.theta_y)
     try:
+        if args.haar_xy:
+            x = haar_rotation(n + 1, 1, args.seed + 101)[0]
+            y = haar_rotation(n + 1, 1, args.seed + 202)[0]
+        else:
+            x = planar_rotation(n + 1, args.theta)
+            y = planar_rotation(n + 1, args.theta_y)
         mc = mc_functional_equation(n, k, x, y, args.samples, args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

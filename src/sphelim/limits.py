@@ -271,67 +271,58 @@ def infinite_rank_root_sequence(psi_type, level: int, base_coeff_index: int = 1)
 def _certificate_evidence(seq: CSequence) -> dict | None:
     """Build divergence evidence from the witness-root factors.
 
+    Each witness level keeps two integers, n and R = 4|alpha|^2 rho_alpha
+    (the pairing of 4 rho with the root).  With K = 2m|alpha|^2 =
+    4|alpha|^2 y_alpha the same at every level, the factor
+    (1 + y_alpha/rho_alpha)^(-1) is R/(R + K), and the affine test
+    rho_alpha = t n + s is cross-multiplied in integers.  Once it holds, the
+    schedule term 1/(1 + epsilon/(delta + j)) at epsilon = y/t, delta =
+    shift + s/t and j = n - shift is that factor, so the product needs no
+    second derivation through ``divergence_certificate``.
+
     Returns None when the scanned levels cannot support it (too few usable
     levels, or the affine/bound checks fail).
     """
     system = seq.system
-    fam = FAMILIES[system.family]
-    label = fam.psi_label
+    label = FAMILIES[system.family].psi_label
     k0 = next((i + 1 for i, c in enumerate(system.base_coeffs) if c), None)
     if k0 is None:
         return None
     start = max(k0, _WITNESS_FLOOR[label])
-    rows = []  # (level, rho_alpha, y_alpha, factor)
+    rows, K = [], None  # (level, R) per witness level; K as above
     for level in seq.levels:
         if level < start:
             continue
         root = infinite_rank_root_sequence(label, level, k0)
         datum, coeffs, r4 = _level_rows(system, level)
         m, mh = datum.mults_for(root.orbit)
-        if mh != 0 or m <= 0:
-            return None
-        norm_sq = root.norm_sq()
-        mu_a = Fraction(sum(v * coeffs[i] for i, v in root.entries), norm_sq)
-        if mu_a < 1:
-            return None
-        rho_a = Fraction(sum(v * r4[i] for i, v in root.entries), 4 * norm_sq)
-        y = Fraction(mh + 2 * m, 4)
-        rows.append((level, rho_a, y, 1 / (1 + y / rho_a)))
+        norm_sq = root.norm_sq()  # fixed by the label and k0
+        if mh != 0 or m <= 0 or sum(v * coeffs[i] for i, v in root.entries) < norm_sq:
+            return None  # a half root, no witness root, or mu_alpha < 1
+        if K is not None and K != 2 * m * norm_sq:
+            return None  # y_alpha is not constant
+        K = 2 * m * norm_sq
+        rows.append((level, sum(v * r4[i] for i, v in root.entries)))
     if len(rows) < 2:
         return None
-    (n1, r1, y1, _), (n2, r2, _, _) = rows[0], rows[1]
-    t = (r2 - r1) / (n2 - n1)
-    s = r1 - t * n1
-    if t <= 0:
-        return None
-    for level, rho_a, y, _ in rows:
-        if rho_a != t * level + s or y != y1:
-            return None  # witness data not affine/constant: no certificate
+    (n1, r1), (n2, r2) = rows[0], rows[1]
+    if r2 <= r1 or any((r - r1) * (n2 - n1) != (r2 - r1) * (n - n1) for n, r in rows):
+        return None  # rho_alpha is not affine with positive slope
+    t = Fraction(r2 - r1, 4 * norm_sq * (n2 - n1))
+    s = Fraction(r1, 4 * norm_sq) - t * n1
     shift = max(0, math.ceil(-s / t))
     rows = [r for r in rows if r[0] - shift >= 1]  # shifted index must start at 1
     if len(rows) < 2:
         return None
-    epsilon = y1 / t
+    epsilon = Fraction(K, 4 * norm_sq) / t
     delta = shift + s / t
-    first_j = rows[0][0] - shift
-    if epsilon / (delta + first_j) > Fraction(5, 2):
+    js = [level - shift for level, _ in rows]
+    if epsilon / (delta + js[0]) > Fraction(5, 2):
         return None
-    js = [level - shift for level, *_ in rows]
-    partial = Fraction(1)
-    for *_, factor in rows:
-        partial *= factor
-    bound = None
-    if js == list(range(js[0], js[-1] + 1)):
-        # contiguous scan: the factors match the decay schedule term by term
-        count = len(js)
-        check = divergence_certificate([epsilon] * count, [delta] * count,
-                                       js[0], js[-1], epsilon=epsilon, delta=delta)
-        if check != partial:
-            return None
-        bound = decay_bound(epsilon, delta, js[0], js[-1])
-    last_value = seq.values[-1]
+    partial = Fraction(math.prod(r for _, r in rows), math.prod(r + K for _, r in rows))
+    contiguous = js == list(range(js[0], js[-1] + 1))
     return {
-        "witness_levels": [level for level, *_ in rows],
+        "witness_levels": [level for level, _ in rows],
         "witness_index": k0,
         "rho_slope": t,
         "rho_intercept": s,
@@ -339,8 +330,8 @@ def _certificate_evidence(seq: CSequence) -> dict | None:
         "delta": delta,
         "index_shift": shift,
         "partial_product": partial,
-        "decay_bound": bound,
-        "last_value_below_partial": last_value <= partial,
+        "decay_bound": decay_bound(epsilon, delta, js[0], js[-1]) if contiguous else None,
+        "last_value_below_partial": seq.values[-1] <= partial,
     }
 
 
@@ -367,8 +358,8 @@ class ClassifyConfig:
         object.__setattr__(self, "zero_floor", Fraction(self.zero_floor))
         if self.window < 2:
             raise ValueError("window must be at least 2")
-        if self.rtol <= 0 or self.zero_floor <= 0:
-            raise ValueError("rtol and zero_floor must be positive")
+        if not 0 < self.rtol < math.inf or self.zero_floor <= 0:
+            raise ValueError("rtol and zero_floor must be positive, and rtol finite")
 
 
 @dataclass(frozen=True)

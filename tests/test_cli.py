@@ -175,6 +175,35 @@ class TestLimitScan:
             assert code == 2
             assert "unknown key" in err
 
+    @pytest.mark.parametrize("line", ["coeffs = a,b", "coeffs = ,", "zero_floor = 1/0",
+                                      "window = two", "rtol = x"])
+    def test_config_bad_value(self, capsys, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"family = group-su\n{line}\n")
+        code, out, err = run_cli(capsys, "limit-scan", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {cfg}:2: bad ")
+
+    @pytest.mark.parametrize("flags", [["--coeffs", "a,b"], ["--coeffs", ","],
+                                       ["--coeffs", "1", "--zero-floor", "1/0"]])
+    def test_bad_flag_value(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["limit-scan", "--family", "group-su", *flags])
+        assert exc.value.code == 2
+        assert f"error: argument {flags[-2]}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rtol", ["nan", "inf", "-1"])
+    def test_rtol_not_positive_finite(self, capsys, tmp_path, rtol):
+        argv = ["--family", "grass-real", "--p", "2", "--coeffs", "1,1", "--max-level", "30"]
+        code, out, err = run_cli(capsys, "limit-scan", *argv, "--rtol", rtol)
+        assert code == 2 and out == ""
+        assert "positive" in err
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(f"rtol = {rtol}\n")
+        code, out, err = run_cli(capsys, "limit-scan", "--config", str(cfg), *argv)
+        assert code == 2 and out == ""
+        assert "positive" in err
+
     @pytest.mark.parametrize("flag", ["--workers", "--positive-floor"])
     def test_removed_flags(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
@@ -235,6 +264,19 @@ class TestSphereVerify:
         assert code == 2
         assert "at least 2" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--samples", "0"], "at least one sample"),
+        (["--grid", "0"], "grid must be at least 1"),
+        (["--theta", "nan"], "not orthogonal"),
+        (["--theta-y", "nan"], "not orthogonal"),
+    ])
+    def test_rejected_before_any_output(self, capsys, tmp_path, flags, message):
+        csv_path = tmp_path / "grid.csv"
+        code, out, err = run_cli(capsys, "sphere-verify", "--n", "5", "--k", "2",
+                                 "--csv", str(csv_path), *flags)
+        assert code == 2 and out == "" and not csv_path.exists()
+        assert err.startswith("error: ") and message in err
+
 
 class TestMCCheck:
     def test_pass_and_fail_exit_codes(self, capsys):
@@ -255,6 +297,16 @@ class TestMCCheck:
         report = json.loads(out)
         assert report["estimate"] == report["target"]
         assert report["std_error"] == 0.0 and report["zscore"] == 0.0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "-3", "--k", "1", "--haar-xy"], "need dim >= 1"),
+        (["--n", "3", "--k", "2", "--theta", "nan"], "not orthogonal"),
+        (["--n", "3", "--k", "2", "--samples", "0"], "at least one sample"),
+    ])
+    def test_bad_input_exits_two(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "mc-check", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
 
     def test_haar_endpoints(self, capsys):
         code, out, _ = run_cli(capsys, "mc-check", "--n", "4", "--k", "2",

@@ -1,12 +1,16 @@
 """Direct systems along growing spaces: exact overlap sequences, divergence
 certificates, and the limit classifier."""
 
+import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from sphelim import limits
 from sphelim.cfunc import CFactorParams, c_value
+from sphelim.cli import to_jsonable
 from sphelim.limits import (
     MODE_FINITE,
     MODE_INFINITE,
@@ -296,6 +300,56 @@ class TestIncrementalFold:
         assert cert["partial_product"] == partial
         first, second = cert["witness_levels"][:2]
         assert cert["rho_slope"] == (rhos[1] - rhos[0]) / (second - first)
+        # the witness factors are the decay schedule's terms at j = level - shift
+        eps, dlt = cert["epsilon"], cert["delta"]
+        j0, jn = (cert["witness_levels"][i] - cert["index_shift"] for i in (0, -1))
+        count = jn - j0 + 1
+        assert count == len(cert["witness_levels"])
+        assert partial == divergence_certificate([eps] * count, [dlt] * count, j0, jn,
+                                                 epsilon=eps, delta=dlt)
+        assert cert["decay_bound"] == decay_bound(eps, dlt, j0, jn)
+
+    @pytest.mark.parametrize("perturb", ["rho_not_affine", "mult_changes", "mu_below_one"])
+    @pytest.mark.parametrize("system", [s for s in FIRST_WEIGHT_SYSTEMS if s.family in
+                                        ("group-su", "group-sp", "group-spin-odd",
+                                         "group-spin-even")],
+                             ids=lambda s: f"{s.family}{s.base_coeffs}")
+    def test_certificate_rejects_bad_witness_level(self, monkeypatch, system, perturb):
+        seq = c_sequence(system, range(system.base_level, 16))
+        assert limits._certificate_evidence(seq) is not None
+        label = datum_at_level(system, system.base_level).psi.label
+        k0 = next(i + 1 for i, c in enumerate(system.base_coeffs) if c)
+        real_rows, bad_level = limits._level_rows, 10
+
+        def perturbed_rows(system, level):
+            datum, coeffs, r4 = real_rows(system, level)
+            if level != bad_level:
+                return datum, coeffs, r4
+            if perturb == "rho_not_affine":
+                i = infinite_rank_root_sequence(label, level, k0).entries[-1][0]
+                r4 = r4[:i] + (r4[i] + 4,) + r4[i + 1:]
+            elif perturb == "mult_changes":
+                datum = dataclasses.replace(datum, mult_middle=datum.mult_middle + 1,
+                                            mult_alpha1=datum.mult_alpha1 + 1)
+            else:
+                coeffs = [0] * len(coeffs)
+            return datum, coeffs, r4
+
+        monkeypatch.setattr(limits, "_level_rows", perturbed_rows)
+        assert limits._certificate_evidence(seq) is None
+
+    def test_evidence_pinned(self):
+        # verdicts and evidence of contiguous scans at three batch sizes and of
+        # one sparse sequence per chain; taken before the certificate was read
+        # from integer pairings, and must not move
+        reports = []
+        for system in FIRST_WEIGHT_SYSTEMS:
+            reports += [classify_scan(system, 40, batch=b)[1] for b in (1, 7, 40)]
+            reports.append(classify(c_sequence(system, (max(3, system.base_level), 10, 25))))
+        blob = json.dumps(to_jsonable([[r.verdict, r.limit_estimate, r.evidence]
+                                       for r in reports]), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "472e9f5cfa57c30aecc937bd23c2c283f49893146965b16952f97891065c5bcd")
 
 
 class TestFiniteChains:
@@ -392,8 +446,9 @@ class TestClassifierEdges:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="window"):
             ClassifyConfig(window=1)
-        with pytest.raises(ValueError, match="positive"):
-            ClassifyConfig(rtol=0)
+        for rtol in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive"):
+                ClassifyConfig(rtol=rtol)
         with pytest.raises(ValueError, match="positive"):
             ClassifyConfig(zero_floor=0)
 

@@ -145,6 +145,16 @@ class TestLimitZonal:
         with pytest.raises(ValueError, match="nonnegative"):
             limit_zonal(-1, np.eye(3))
 
+    def test_rejects_nan_matrix(self):
+        # NaN compares False both ways, so the checks must not read "nan > tol"
+        bad = np.full((3, 3), np.nan)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            limit_zonal(2, bad)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            mc_functional_equation(2, 1, bad, np.eye(3), samples=10, seed=0)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            mc_functional_equation(2, 1, np.eye(3), bad, samples=10, seed=0)
+
 
 class TestPlanarRotation:
     def test_entries_and_determinant(self):
