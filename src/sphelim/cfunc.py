@@ -158,7 +158,9 @@ def c_value(datum: SpaceDatum, mu) -> Fraction:
     ``mu`` may be a Weight or a sequence of fundamental-weight coefficients.
     Rejects weights outside the spherical dominant lattice, naming the
     lexicographically first pattern root that fails integrality.  Pattern
-    roots of total multiplicity zero contribute nothing.
+    roots of total multiplicity zero contribute nothing.  Computed by
+    ``_product_from`` at lo = 0, reduced after each f-index row as a chain
+    fold is after each level, so its pair is already in lowest terms.
     """
     if isinstance(mu, Weight):
         coeffs = _integer_f_coeffs(datum, mu)
@@ -172,57 +174,53 @@ def c_value(datum: SpaceDatum, mu) -> Fraction:
 
 
 def _product_from(datum: SpaceDatum, coeffs: list[int], lo: int) -> tuple[int, int]:
-    """Unreduced integer numerator/denominator of the overlap product over
+    """Reduced integer numerator/denominator of the overlap product over
     the pattern roots whose largest f-index is at least ``lo``: the single
     roots s*f_j and the pairs f_j -+ f_i (i < j) with j >= lo.
 
-    ``coeffs`` are the weight's integer f-coefficients.  With lo = 0 this is
-    the whole product; along a chain whose coefficients and rho extend those
-    of a lower level of ambient dimension lo, it is the one-step factor
-    c(this level) / c(lower level).  Rejects like ``c_value``.
+    One row per f-index j >= lo: the row's roots are validated, their
+    factors multiplied as small integers, and the reduced row cancelled
+    into the running pair by gcds, as Fraction multiplication does.  With
+    lo = 0 this is the whole product; along a chain whose integer
+    f-coefficients ``coeffs`` and rho extend those of a lower level of
+    ambient dimension lo, it is c(this level) / c(lower level).  Rejects
+    like ``c_value``.
     """
     r4 = _rho4(datum)
     s, sums, pair_orbit = ROOT_PATTERNS[datum.psi.label]
-    n = len(coeffs)
-    # (orbit, mu_alpha, 8*rho_alpha) -> count of equal factors
-    counts: dict[tuple[str, int, int], int] = {}
-    if s:  # roots s*f_j
-        for j in range(lo, n):
-            mu_a, rem = divmod(coeffs[j], s)
+    # (8x, 8y) per orbit; None for a multiplicity-zero pattern entry, not a root
+    single, pair = ((2 * (mh + 2), 2 * (mh + 2 * m)) if m or mh else None
+                    for m, mh in map(datum.mults_for, (ORBIT_ALPHA1, pair_orbit)))
+    num = den = 1
+    for j in range(lo, len(coeffs)):
+        mj, rj = coeffs[j], r4[j]
+        row = []  # (mu_alpha, 8*rho_alpha, (8x, 8y)) of the row's nontrivial factors
+        if s:  # root s*f_j
+            mu_a, rem = divmod(mj, s)
             if mu_a < 0 or rem:
                 _reject(datum, coeffs)
-            if mu_a:
-                key = (ORBIT_ALPHA1, mu_a, 2 * r4[j] // s)
-                counts[key] = counts.get(key, 0) + 1
-    for j in range(max(lo, 1), n):  # roots f_j - f_i, and f_j + f_i where they occur
-        mj, rj = coeffs[j], r4[j]
-        for i in range(j):
+            if mu_a and single:
+                row.append((mu_a, 2 * rj // s, single))
+        for i in range(j):  # roots f_j - f_i, and f_j + f_i where they occur
             diff = mj - coeffs[i]
             tot = mj + coeffs[i] if sums else 0
             if diff < 0 or diff & 1 or tot < 0:
                 _reject(datum, coeffs)
-            if diff:
-                key = (pair_orbit, diff >> 1, rj - r4[i])
-                counts[key] = counts.get(key, 0) + 1
-            if tot:
-                key = (pair_orbit, tot >> 1, rj + r4[i])
-                counts[key] = counts.get(key, 0) + 1
-    mults = {orbit: datum.mults_for(orbit) for orbit in (ORBIT_ALPHA1, pair_orbit)}
-    num = 1
-    den = 1
-    for (orbit, mu_a, rho8), cnt in counts.items():
-        m, mh = mults[orbit]
-        if m == 0 and mh == 0:
-            continue  # multiplicity-zero pattern entry: not a root
-        if rho8 <= 0:
-            raise ArithmeticError("internal error: nonpositive rho pairing on a root")
-        fn, fd = _root_factor(mu_a, rho8, 2 * (mh + 2), 2 * (mh + 2 * m), 8)
-        if cnt == 1:
-            num *= fn
-            den *= fd
-        else:
-            num *= fn ** cnt
-            den *= fd ** cnt
+            if diff and pair:
+                row.append((diff >> 1, rj - r4[i], pair))
+            if tot and pair:
+                row.append((tot >> 1, rj + r4[i], pair))
+        rn = rd = 1
+        for mu_a, rho8, xy8 in row:
+            if rho8 <= 0:
+                raise ArithmeticError("internal error: nonpositive rho pairing on a root")
+            fn, fd = _root_factor(mu_a, rho8, *xy8, 8)
+            rn *= fn
+            rd *= fd
+        g = math.gcd(rn, rd)
+        rn, rd = rn // g, rd // g
+        g1, g2 = math.gcd(num, rd), math.gcd(rn, den)
+        num, den = (num // g1) * (rn // g2), (den // g2) * (rd // g1)
     return num, den
 
 

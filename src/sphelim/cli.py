@@ -281,6 +281,8 @@ def cmd_sphere_verify(args) -> int:
 def cmd_mc_check(args) -> int:
     n, k = args.n, args.k
     try:
+        if not math.isfinite(args.max_z):
+            raise ValueError(f"max-z must be a finite number, got {args.max_z}")
         if args.haar_xy:
             x = haar_rotation(n + 1, 1, args.seed + 101)[0]
             y = haar_rotation(n + 1, 1, args.seed + 202)[0]

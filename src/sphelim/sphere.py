@@ -231,11 +231,14 @@ def mc_functional_equation(n: int, k: int, x, y, samples: int, seed: int) -> MCR
     with exact float summation, so results are reproducible for a fixed
     (seed, samples).  The sums are of the values minus the first one, so
     the variance does not cancel: a sample of equal values has the exact
-    mean and std_error 0.
+    mean and std_error 0.  Needs at least two samples, since one has no
+    standard error.
     """
     _validate_nk(n, k)
     if samples < 1:
         raise ValueError("need at least one sample")
+    if samples == 1:
+        raise ValueError("one sample has no standard error: need at least two samples")
     x = _check_rotation(x, n + 1)
     y = _check_rotation(y, n + 1)
     a = x[0, :]
@@ -256,5 +259,5 @@ def mc_functional_equation(n: int, k: int, x, y, samples: int, seed: int) -> MCR
         sqs.append(float((d * d).sum()))
     total, squares = math.fsum(sums), math.fsum(sqs)
     mean = shift + total / samples
-    var = max(0.0, squares - total * total / samples) / (samples - 1) if samples > 1 else 0.0
+    var = max(0.0, squares - total * total / samples) / (samples - 1)
     return MCResult(mean, math.sqrt(var / samples), float(target), samples)

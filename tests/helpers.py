@@ -42,3 +42,28 @@ def instances_at_rank(rank: int, q_offset: int = 1) -> list[SpaceDatum]:
                     out.append(build_space(fam.slug, n=n))
                     break
     return out
+
+
+def oracle_grid_instances() -> list[SpaceDatum]:
+    """The criterion-3 sweep: every family, ranks up to 6.
+
+    Grassmannian rows contribute p = 1..6 at q = p+1 plus p = 1, 2 at
+    q = p+3; single-parameter rows contribute every admissible rank <= 6;
+    the sphere alias contributes its first curved member.
+    """
+    out = []
+    for fam in FAMILIES.values():
+        if fam.slug == "rank1-real":
+            out.append(build_space(fam.slug, q=2))
+        elif fam.param_kind == "pq":
+            for p in range(1, 7):
+                out.append(build_space(fam.slug, p=p, q=p + 1))
+            for p in (1, 2):
+                out.append(build_space(fam.slug, p=p, q=p + 3))
+        else:
+            for rank in range(1, 7):
+                for n in (rank, rank + 1):
+                    if n >= fam.min_n and fam.rank_of(n) == rank:
+                        out.append(build_space(fam.slug, n=n))
+                        break
+    return out

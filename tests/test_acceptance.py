@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import instances_at_rank
+from helpers import instances_at_rank, oracle_grid_instances
 from sphelim.cfunc import c_gamma, c_value, overlap_q_squared
 from sphelim.limits import (
     ClassifyConfig,
@@ -22,7 +22,7 @@ from sphelim.limits import (
     classify_scan,
     divergence_certificate,
 )
-from sphelim.rootdata import FAMILIES, build_space, rho, weight_from_xi
+from sphelim.rootdata import build_space, rho, weight_from_xi
 from sphelim.sphere import (
     mc_functional_equation,
     ode_residual,
@@ -74,38 +74,13 @@ def test_criterion_02_rank_one_exactness(report):
     assert classified
 
 
-def _oracle_grid_instances():
-    """The criterion-3 sweep: every family, ranks up to 6.
-
-    Grassmannian rows contribute p = 1..6 at q = p+1 plus p = 1, 2 at
-    q = p+3; single-parameter rows contribute every admissible rank <= 6;
-    the sphere alias contributes its first curved member.
-    """
-    out = []
-    for fam in FAMILIES.values():
-        if fam.slug == "rank1-real":
-            out.append(build_space(fam.slug, q=2))
-        elif fam.param_kind == "pq":
-            for p in range(1, 7):
-                out.append(build_space(fam.slug, p=p, q=p + 1))
-            for p in (1, 2):
-                out.append(build_space(fam.slug, p=p, q=p + 3))
-        else:
-            for rank in range(1, 7):
-                for n in (rank, rank + 1):
-                    if n >= fam.min_n and fam.rank_of(n) == rank:
-                        out.append(build_space(fam.slug, n=n))
-                        break
-    return out
-
-
 def test_criterion_03_oracle_agreement(report):
     """Exact product vs the log-Gamma oracle over the full coefficient grid
     (entries 0..4) on every family at ranks <= 6: relative gap <= 1e-9."""
     t0 = time.perf_counter()
     worst = 0.0
     evaluations = 0
-    for datum in _oracle_grid_instances():
+    for datum in oracle_grid_instances():
         rho_f = rho(datum).coeffs_f
         for coeffs in itertools.product(range(5), repeat=datum.rank):
             exact = float(c_value(datum, coeffs))

@@ -1,8 +1,11 @@
 """Exact overlap-product evaluation: frozen values, an independent
 Gamma-function oracle, factor identities, and lattice rejection."""
 
+import hashlib
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -10,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import small_instances
+from helpers import instances_at_rank, oracle_grid_instances, small_instances
 from sphelim.cfunc import (
     BigRational,
     CFactorParams,
+    _product_from,
     c_factor,
     c_factor_reference,
     c_gamma,
@@ -23,10 +27,13 @@ from sphelim.cfunc import (
     overlap_q,
     overlap_q_squared,
 )
+from sphelim.limits import DirectSystem, c_sequence
 from sphelim.rootdata import (
     Weight,
+    _f_ints_from_xi,
     build_space,
     lambda_alpha,
+    pad_xi_coeffs,
     positive_nonmultipliable_roots,
     rho,
     weight_from_xi,
@@ -316,3 +323,66 @@ class TestOverlaps:
             overlap_q_squared(build_space("grass-real", p=2, q=3), d_a, (1,))
         with pytest.raises(ValueError, match="at least"):
             overlap_q_squared(build_space("sp-over-u", n=2), build_space("sp-over-u", n=3), (1,))
+
+
+def pochhammer(a: Fraction, k: int) -> Fraction:
+    return math.prod((a + i for i in range(k)), start=Fraction(1))
+
+
+class TestOneReductionSchedule:
+    def test_rank_one_jacobi_closed_form(self):
+        """On a rank-one space c(k xi_1) is the e^{2ik theta} coefficient of the
+        normalised Jacobi polynomial P_k^(a,b)(cos 2 theta): (k+a+b+1)_k /
+        (4^k (a+1)_k), a = (m_alpha + m_2alpha - 1)/2, b = (m_2alpha - 1)/2.
+        The real rows start at q = 2; their q = 1 member is the circle, with
+        no roots."""
+        cases = 0
+        for family, q0 in (("rank1-real", 2), ("grass-real", 2),
+                           ("grass-complex", 1), ("grass-quaternion", 1)):
+            for q in range(q0, 31):
+                datum = (build_space(family, q=q) if family == "rank1-real"
+                         else build_space(family, p=1, q=q))
+                m_a, m_2a = datum.mult_half, datum.mult_alpha1
+                a, b = Fraction(m_a + m_2a - 1, 2), Fraction(m_2a - 1, 2)
+                for k in range(8):
+                    want = pochhammer(k + a + b + 1, k) / (4 ** k * pochhammer(a + 1, k))
+                    assert c_value(datum, (k,)) == want, (family, q, k)
+                    cases += 1
+        assert cases == 944
+
+    @pytest.mark.parametrize("datum", INSTANCES, ids=IDS)
+    def test_pair_is_in_lowest_terms(self, datum):
+        rank = datum.rank
+        for xi in ((1,) * rank, tuple(range(rank, 0, -1)), (4,) + (0,) * (rank - 1)):
+            coeffs = _f_ints_from_xi(datum.psi, xi)
+            for lo in range(len(coeffs) + 1):
+                num, den = _product_from(datum, coeffs, lo)
+                assert den > 0 and math.gcd(num, den) == 1, (xi, lo)
+
+    def test_values_pinned(self):
+        """SHA-256, pinned, of c_value over the criterion-3 instances with
+        coefficient digits 0..2 and the nine infinite-rank rows at rank 60
+        with xi_1, xi_2 and xi_2 + 2 xi_4: a change of reduction schedule
+        must keep every Fraction."""
+        cases = [(datum, coeffs) for datum in oracle_grid_instances()
+                 for coeffs in itertools.product(range(3), repeat=datum.rank)]
+        high = [datum for datum in instances_at_rank(60) if not datum.grassmannian]
+        assert len(high) == 9
+        cases += [(datum, pad_xi_coeffs(xi, 60))
+                  for datum in high for xi in ((1,), (0, 1), (0, 1, 0, 2))]
+        digest = hashlib.sha256()
+        for datum, coeffs in cases:
+            value = c_value(datum, coeffs)
+            digest.update(f"{datum.family}{datum.params}{coeffs} "
+                          f"{value.numerator}/{value.denominator}\n".encode())
+        assert digest.hexdigest() == (
+            "6ca7b2d38fd42775f7da43be890d1ff3b50f216888bc76837dbf81a249a54538")
+
+    def test_one_shot_matches_fold_at_high_rank(self):
+        datum = build_space("group-sp", n=400)
+        t0 = time.perf_counter()
+        value = c_value(datum, pad_xi_coeffs((0, 1, 0, 2), datum.rank))
+        elapsed = time.perf_counter() - t0
+        fold = c_sequence(DirectSystem("group-sp", (0, 1, 0, 2)), range(4, 401))
+        assert value == fold.values[-1]
+        assert elapsed < 10.0

@@ -266,6 +266,7 @@ class TestSphereVerify:
 
     @pytest.mark.parametrize("flags, message", [
         (["--samples", "0"], "at least one sample"),
+        (["--samples", "1"], "one sample has no standard error"),
         (["--grid", "0"], "grid must be at least 1"),
         (["--theta", "nan"], "not orthogonal"),
         (["--theta-y", "nan"], "not orthogonal"),
@@ -302,6 +303,9 @@ class TestMCCheck:
         (["--n", "-3", "--k", "1", "--haar-xy"], "need dim >= 1"),
         (["--n", "3", "--k", "2", "--theta", "nan"], "not orthogonal"),
         (["--n", "3", "--k", "2", "--samples", "0"], "at least one sample"),
+        (["--n", "3", "--k", "2", "--samples", "1"], "one sample has no standard error"),
+        (["--n", "3", "--k", "2", "--max-z", "nan"], "max-z must be a finite number"),
+        (["--n", "3", "--k", "2", "--max-z", "inf"], "max-z must be a finite number"),
     ])
     def test_bad_input_exits_two(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "mc-check", *argv)

@@ -333,5 +333,7 @@ class TestFunctionalEquation:
         x = planar_rotation(4, 0.5)
         with pytest.raises(ValueError, match="at least one sample"):
             mc_functional_equation(3, 1, x, x, samples=0, seed=0)
+        with pytest.raises(ValueError, match="one sample has no standard error"):
+            mc_functional_equation(3, 1, x, x, samples=1, seed=0)
         with pytest.raises(ValueError, match="expected a 4 x 4"):
             mc_functional_equation(3, 1, np.eye(5), np.eye(4), samples=10, seed=0)
