@@ -199,6 +199,21 @@ def _load_config(path: str) -> dict:
     return opts
 
 
+def _write_table(lines: list[str], path: str | None) -> bool:
+    """Write a CSV table to ``path``, or to stdout when no path is given.
+    Returns False, with the error on stderr, when the file cannot be written."""
+    text = "\n".join(lines) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return True
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_limit_scan(args) -> int:
     merged = {"max_level": 200}
     if args.config:
@@ -226,11 +241,8 @@ def cmd_limit_scan(args) -> int:
     for level, value in zip(seq.levels, seq.values):
         csv_lines.append(f"{level},{fmt_int(value.numerator)},{fmt_int(value.denominator)},"
                          f"{fmt_float(value)}")
-    csv_text = "\n".join(csv_lines) + "\n"
-    if merged.get("csv"):
-        Path(merged["csv"]).write_text(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    if not _write_table(csv_lines, merged.get("csv")):
+        return 2
     emit_json({
         "verdict": report.verdict,
         "limit_estimate": report.limit_estimate,
@@ -257,11 +269,8 @@ def cmd_sphere_verify(args) -> int:
     csv_lines = ["t,p,t_pow_k,residual"]
     for t, p, tk, res in zip(grid, values, powers, residual):
         csv_lines.append(f"{fmt_float(t)},{fmt_float(p)},{fmt_float(tk)},{fmt_float(res)}")
-    csv_text = "\n".join(csv_lines) + "\n"
-    if args.csv:
-        Path(args.csv).write_text(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    if not _write_table(csv_lines, args.csv):
+        return 2
     emit_json({
         "n": n,
         "k": k,

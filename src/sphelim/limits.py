@@ -149,16 +149,17 @@ class CSequence:
         fresh = sorted(set(int(lv) for lv in more_levels) - set(self.levels))
         if not fresh:
             return self
-        merged = sorted(zip(self.levels + tuple(fresh),
-                            self.values + tuple(_values_at(self.system, fresh))))
+        values = tuple(value for value, _ in _values_at(self.system, fresh))
+        merged = sorted(zip(self.levels + tuple(fresh), self.values + values))
         return CSequence(self.system,
                          tuple(lv for lv, _ in merged),
                          tuple(v for _, v in merged))
 
 
-def _values_at(system: DirectSystem, levels: Iterable[int]) -> Iterator[Fraction]:
+def _values_at(system: DirectSystem, levels: Iterable[int]) -> Iterator[tuple[Fraction, tuple]]:
     """Exact values at ascending levels, folded serially from one level to
-    the next and yielded one at a time.
+    the next and yielded one at a time, each with the rows it was computed
+    from: ``_level_rows`` at that level.
 
     When the multiplicities agree and the weight's f-coefficients and rho
     only grow by new trailing entries (every infinite-rank chain), a value
@@ -169,7 +170,7 @@ def _values_at(system: DirectSystem, levels: Iterable[int]) -> Iterator[Fraction
     """
     prev = None  # (datum, f-coefficients, 4 rho, value) of the last level
     for level in levels:
-        datum, coeffs, r4 = _level_rows(system, level)
+        rows = datum, coeffs, r4 = _level_rows(system, level)
         lo, value = 0, Fraction(1)
         if prev is not None:
             p_datum, p_coeffs, p_r4, p_value = prev
@@ -178,8 +179,8 @@ def _values_at(system: DirectSystem, levels: Iterable[int]) -> Iterator[Fraction
                     and r4[:n] == p_r4):
                 lo, value = n, p_value
         value *= Fraction(*_product_from(datum, coeffs, lo))
-        yield value
-        prev = (datum, coeffs, r4, value)
+        yield value, rows
+        prev = (*rows, value)
 
 
 def c_sequence(system: DirectSystem, levels: Sequence[int]) -> CSequence:
@@ -268,61 +269,77 @@ def infinite_rank_root_sequence(psi_type, level: int, base_coeff_index: int = 1)
     return RestrictedRoot(n, ((1, 1), (n - 1, 1)), ORBIT_ALPHA1)
 
 
-def _certificate_evidence(seq: CSequence) -> dict | None:
-    """Build divergence evidence from the witness-root factors.
-
-    Each witness level keeps two integers, n and R = 4|alpha|^2 rho_alpha
-    (the pairing of 4 rho with the root).  With K = 2m|alpha|^2 =
-    4|alpha|^2 y_alpha the same at every level, the factor
-    (1 + y_alpha/rho_alpha)^(-1) is R/(R + K), and the affine test
-    rho_alpha = t n + s is cross-multiplied in integers.  Once it holds, the
-    schedule term 1/(1 + epsilon/(delta + j)) at epsilon = y/t, delta =
-    shift + s/t and j = n - shift is that factor, so the product needs no
-    second derivation through ``divergence_certificate``.
-
-    Returns None when the scanned levels cannot support it (too few usable
-    levels, or the affine/bound checks fail).
-    """
-    system = seq.system
-    label = FAMILIES[system.family].psi_label
+def _witness(system: DirectSystem) -> tuple[str, int, int] | None:
+    """The root-system label, the witness index k0 (the first nonzero base
+    coefficient, 1-based) and the first witness level of an infinite-rank
+    chain; None for a finite-rank chain or the zero weight, which have no
+    certificate."""
     k0 = next((i + 1 for i, c in enumerate(system.base_coeffs) if c), None)
-    if k0 is None:
+    if system.mode != MODE_INFINITE or k0 is None:
         return None
-    start = max(k0, _WITNESS_FLOOR[label])
-    rows, K = [], None  # (level, R) per witness level; K as above
-    for level in seq.levels:
-        if level < start:
-            continue
-        root = infinite_rank_root_sequence(label, level, k0)
-        datum, coeffs, r4 = _level_rows(system, level)
-        m, mh = datum.mults_for(root.orbit)
-        norm_sq = root.norm_sq()  # fixed by the label and k0
-        if mh != 0 or m <= 0 or sum(v * coeffs[i] for i, v in root.entries) < norm_sq:
-            return None  # a half root, no witness root, or mu_alpha < 1
-        if K is not None and K != 2 * m * norm_sq:
-            return None  # y_alpha is not constant
-        K = 2 * m * norm_sq
-        rows.append((level, sum(v * r4[i] for i, v in root.entries)))
-    if len(rows) < 2:
+    label = FAMILIES[system.family].psi_label
+    return label, k0, max(k0, _WITNESS_FLOOR[label])
+
+
+def _witness_pairing(witness: tuple[str, int, int], level: int,
+                     rows: tuple[SpaceDatum, list[int], tuple[int, ...]],
+                     ) -> tuple[int, int, int] | None:
+    """The per-level step of the certificate: one witness level's rows
+    (``_level_rows``) reduced to the integers n, R = <4 rho, alpha> =
+    4|alpha|^2 rho_alpha and K = 2m|alpha|^2 = 4|alpha|^2 y_alpha.  None
+    where the level cannot serve: a half root, no witness root, or
+    mu_alpha < 1."""
+    label, k0, _ = witness
+    datum, coeffs, r4 = rows
+    root = infinite_rank_root_sequence(label, level, k0)
+    m, mh = datum.mults_for(root.orbit)
+    norm_sq = root.norm_sq()
+    if mh != 0 or m <= 0 or sum(v * coeffs[i] for i, v in root.entries) < norm_sq:
         return None
-    (n1, r1), (n2, r2) = rows[0], rows[1]
-    if r2 <= r1 or any((r - r1) * (n2 - n1) != (r2 - r1) * (n - n1) for n, r in rows):
+    return level, sum(v * r4[i] for i, v in root.entries), 2 * m * norm_sq
+
+
+def _certificate_evidence(system: DirectSystem, pairings: Sequence[tuple[int, int, int] | None],
+                          last_value: Fraction) -> dict | None:
+    """Build divergence evidence from the witness pairings (n, R, K), one
+    per witness level in level order, as ``_witness_pairing`` gives them.
+
+    With K the same at every level, the factor (1 + y_alpha/rho_alpha)^(-1)
+    is R/(R + K), and the affine test rho_alpha = t n + s is
+    cross-multiplied in integers.  Once it holds, the schedule term
+    1/(1 + epsilon/(delta + j)) at epsilon = y/t, delta = shift + s/t and
+    j = n - shift is that factor, so the product needs no second derivation
+    through ``divergence_certificate``.
+
+    Returns None when the pairings cannot support it (too few usable
+    levels, a level that cannot serve, or the affine/bound checks fail).
+    """
+    if len(pairings) < 2 or None in pairings:
+        return None
+    label, k0, _ = _witness(system)
+    K = pairings[0][2]
+    if any(k != K for _, _, k in pairings):
+        return None  # y_alpha is not constant
+    # |alpha|^2 is fixed by the label and k0
+    norm_sq = infinite_rank_root_sequence(label, pairings[0][0], k0).norm_sq()
+    (n1, r1, _), (n2, r2, _) = pairings[:2]
+    if r2 <= r1 or any((r - r1) * (n2 - n1) != (r2 - r1) * (n - n1) for n, r, _ in pairings):
         return None  # rho_alpha is not affine with positive slope
     t = Fraction(r2 - r1, 4 * norm_sq * (n2 - n1))
     s = Fraction(r1, 4 * norm_sq) - t * n1
     shift = max(0, math.ceil(-s / t))
-    rows = [r for r in rows if r[0] - shift >= 1]  # shifted index must start at 1
-    if len(rows) < 2:
+    usable = [(n, r) for n, r, _ in pairings if n - shift >= 1]  # shifted index starts at 1
+    if len(usable) < 2:
         return None
     epsilon = Fraction(K, 4 * norm_sq) / t
     delta = shift + s / t
-    js = [level - shift for level, _ in rows]
+    js = [level - shift for level, _ in usable]
     if epsilon / (delta + js[0]) > Fraction(5, 2):
         return None
-    partial = Fraction(math.prod(r for _, r in rows), math.prod(r + K for _, r in rows))
+    partial = Fraction(math.prod(r for _, r in usable), math.prod(r + K for _, r in usable))
     contiguous = js == list(range(js[0], js[-1] + 1))
     return {
-        "witness_levels": [level for level, _ in rows],
+        "witness_levels": [level for level, _ in usable],
         "witness_index": k0,
         "rho_slope": t,
         "rho_intercept": s,
@@ -331,7 +348,7 @@ def _certificate_evidence(seq: CSequence) -> dict | None:
         "index_shift": shift,
         "partial_product": partial,
         "decay_bound": decay_bound(epsilon, delta, js[0], js[-1]) if contiguous else None,
-        "last_value_below_partial": seq.values[-1] <= partial,
+        "last_value_below_partial": last_value <= partial,
     }
 
 
@@ -395,7 +412,10 @@ def classify(seq: CSequence, config: ClassifyConfig | None = None) -> Convergenc
         raise ValueError("empty sequence")
     for earlier, later in zip(seq.values, seq.values[1:]):
         _check_step(earlier, later)
-    return _decide(seq, config or ClassifyConfig())
+    witness = _witness(seq.system)
+    pairings = [_witness_pairing(witness, level, _level_rows(seq.system, level))
+                for level in seq.levels if witness and level >= witness[2]]
+    return _decide(seq, config or ClassifyConfig(), pairings)
 
 
 def _check_step(earlier: Fraction, later: Fraction) -> None:
@@ -407,8 +427,10 @@ def _check_step(earlier: Fraction, later: Fraction) -> None:
         )
 
 
-def _decide(seq: CSequence, config: ClassifyConfig) -> ConvergenceReport:
-    """The verdict of ``classify`` on a nonempty, checked nonincreasing sequence."""
+def _decide(seq: CSequence, config: ClassifyConfig,
+            pairings: Sequence[tuple[int, int, int] | None]) -> ConvergenceReport:
+    """The verdict of ``classify`` on a nonempty, checked nonincreasing
+    sequence, given the witness pairings of its witness levels."""
     last_level, last_value = seq.last()
     base_evidence = {
         "mode": seq.system.mode,
@@ -437,7 +459,7 @@ def _decide(seq: CSequence, config: ClassifyConfig) -> ConvergenceReport:
             "request": "more levels",
             "reason": f"no trailing window of {w} levels with relative change below {config.rtol}",
         })
-    certificate = _certificate_evidence(seq)
+    certificate = _certificate_evidence(seq.system, pairings, last_value)
     floor_crossed = last_value < config.zero_floor
     if certificate is not None or floor_crossed:
         return ConvergenceReport(VERDICT_ZERO, 0.0, base_evidence | {
@@ -459,11 +481,15 @@ def classify_scan(system: DirectSystem, max_level: int,
     sequence and the final report.
 
     Values come from one serial fold, and each is checked against the one
-    below it as it arrives.  The verdict is taken every ``batch`` levels and
-    at ``max_level``, so ``batch`` sets where a scan may stop, never the
-    value at a level.  ``max_workers`` is ignored: every scan is serial.  It
-    stays only so that existing callers that pass ``max_workers=1`` keep
-    working.
+    below it as it arrives.  On an infinite-rank chain each level's rows are
+    reduced to the level's witness pairing as the level arrives, so the scan
+    builds every level once and keeps a few integers per level for the
+    certificate.  The verdict is taken every ``batch`` levels and at
+    ``max_level``, so ``batch`` sets where a scan may stop, never the value
+    at a level.  ``max_workers`` is ignored: every scan is serial.  It stays
+    because the benchmark harness in ``perfbench/`` passes
+    ``max_workers=1``, and that harness must run unchanged on every
+    revision it compares.
     """
     config = config or ClassifyConfig()
     if max_level < system.base_level:
@@ -471,13 +497,16 @@ def classify_scan(system: DirectSystem, max_level: int,
     if batch < 1:
         raise ValueError("batch must be at least 1")
     levels = range(system.base_level, max_level + 1)
-    values = []
-    for level, value in zip(levels, _values_at(system, levels)):
+    witness = _witness(system)
+    values, pairings = [], []
+    for level, (value, rows) in zip(levels, _values_at(system, levels)):
         if values:
             _check_step(values[-1], value)
         values.append(value)
+        if witness and level >= witness[2]:
+            pairings.append(_witness_pairing(witness, level, rows))
         if len(values) % batch == 0 or level == max_level:
             seq = CSequence(system, tuple(levels[:len(values)]), tuple(values))
-            report = _decide(seq, config)
+            report = _decide(seq, config, pairings)
             if report.decided or level == max_level:
                 return seq, report

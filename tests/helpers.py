@@ -1,4 +1,7 @@
-"""Shared test fixtures: canonical small instances of every catalog family."""
+"""Shared test fixtures: canonical small instances of every catalog family,
+and a closed-form overlap oracle for the group spaces."""
+
+from fractions import Fraction
 
 from sphelim.rootdata import FAMILIES, SpaceDatum, build_space
 
@@ -67,3 +70,38 @@ def oracle_grid_instances() -> list[SpaceDatum]:
                         out.append(build_space(fam.slug, n=n))
                         break
     return out
+
+
+def inverse_weyl_dimension(label: str, mu_f) -> Fraction:
+    """1/dim V_lambda for the compact group of type ``label`` (A, B, C, D),
+    with lambda = mu/2 and mu in sphelim's ascending f-coordinates.
+
+    On the group space G x G / G the K-fixed unit vector of End(V) is
+    Id/sqrt(dim V), so the overlap c(mu) with the highest-weight vector is
+    1/dim V (Helgason, Groups and Geometric Analysis, Ch. IV).  dim V is
+    the Weyl dimension formula, prod over positive roots alpha of
+    <lambda + rho, alpha>/<rho, alpha>, with rho = (0..r), (1/2..n-1/2),
+    (1..n) and (0..n-1) for A, B, C and D.  The positive roots are
+    e_j - e_i and, outside A, e_j + e_i (i < j), with e_j for B and 2e_j
+    for C.  Everything is doubled to stay in integers, which every ratio
+    cancels.
+    """
+    mu = [int(c) for c in mu_f]
+    if label == "A":
+        mu = [c - mu[0] for c in mu]  # SU weights are taken modulo the trace
+    n = len(mu)
+    rho2 = {"A": [2 * i for i in range(n)], "B": [2 * i + 1 for i in range(n)],
+            "C": [2 * i + 2 for i in range(n)], "D": [2 * i for i in range(n)]}[label]
+    shifted = [m + r for m, r in zip(mu, rho2)]
+    num = den = 1
+    for j in range(n):
+        for i in range(j):
+            num *= shifted[j] - shifted[i]
+            den *= rho2[j] - rho2[i]
+            if label != "A":
+                num *= shifted[j] + shifted[i]
+                den *= rho2[j] + rho2[i]
+        if label in "BC":
+            num *= shifted[j]
+            den *= rho2[j]
+    return Fraction(den, num)

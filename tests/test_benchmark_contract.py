@@ -1,26 +1,29 @@
 """The names the benchmark harness in ``perfbench/`` reaches into ``sphelim``
-for: every traced function still resolves, and scans still accept the
-keyword the workloads pass."""
+for: every traced function still resolves, scans still accept the keyword
+the workloads pass, and every workload still runs and passes its own checks
+at smoke-test size."""
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
 
 from sphelim.limits import DirectSystem, classify_scan
 
-TRACING_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PY)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACED = _load_tracing().TRACED
+TRACED = _load_perfbench("tracing").TRACED
+WORKLOADS = _load_perfbench("workloads").WORKLOADS
 
 
 @pytest.mark.parametrize("module_name, attr", [(m, a) for m, a, _ in TRACED],
@@ -40,3 +43,16 @@ def test_classify_scan_takes_the_workload_keywords(system, level):
     seq, report = classify_scan(system, level, batch=level, max_workers=1)
     assert (seq, report) == classify_scan(system, level, batch=level)
     assert seq.levels[-1] == level
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_runs_and_checks_at_tiny_size(name):
+    # the benchmark's own oracles pass every operation, and a wrong expected
+    # value fails exactly the first
+    workload = WORKLOADS[name](random.Random(1), True)
+    results = [workload.run(op) for op in workload.ops]
+    assert results
+    checks = [(workload.check(i, op, result, False), workload.check(i, op, result, True))
+              for i, (op, result) in enumerate(zip(workload.ops, results))]
+    assert all(right for right, _ in checks)
+    assert [i for i, (_, wrong) in enumerate(checks) if not wrong] == [0]

@@ -13,7 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import instances_at_rank, oracle_grid_instances, small_instances
+from helpers import (
+    instances_at_rank,
+    inverse_weyl_dimension,
+    oracle_grid_instances,
+    small_instances,
+)
 from sphelim.cfunc import (
     BigRational,
     CFactorParams,
@@ -377,6 +382,23 @@ class TestOneReductionSchedule:
                           f"{value.numerator}/{value.denominator}\n".encode())
         assert digest.hexdigest() == (
             "6ca7b2d38fd42775f7da43be890d1ff3b50f216888bc76837dbf81a249a54538")
+
+    @pytest.mark.parametrize("family", ["group-su", "group-spin-odd", "group-sp",
+                                        "group-spin-even"])
+    def test_group_spaces_match_weyl_dimension(self, family):
+        rng = random.Random(f"weyl-{family}")
+        for _ in range(100):
+            datum = build_space(family, n=rng.randint(4, 12))
+            coeffs = tuple(rng.randrange(4) for _ in range(datum.rank))
+            want = inverse_weyl_dimension(datum.psi.label,
+                                          weight_from_xi(datum, coeffs).coeffs_f)
+            assert c_value(datum, coeffs) == want, (datum.params, coeffs)
+
+    def test_group_sp_matches_weyl_dimension_at_rank_200(self):
+        datum = build_space("group-sp", n=200)
+        coeffs = pad_xi_coeffs((0, 1, 0, 2), datum.rank)
+        want = inverse_weyl_dimension("C", weight_from_xi(datum, coeffs).coeffs_f)
+        assert c_value(datum, coeffs) == want
 
     def test_one_shot_matches_fold_at_high_rank(self):
         datum = build_space("group-sp", n=400)

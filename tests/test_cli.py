@@ -233,6 +233,13 @@ class TestLimitScan:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_unwritable_csv_exits_two(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "limit-scan", "--family", "rank1-real",
+                                 "--coeffs", "1", "--max-level", "5",
+                                 "--csv", str(tmp_path / "missing" / "seq.csv"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
     def test_missing_required_options(self, capsys):
         code, _, err = run_cli(capsys, "limit-scan", "--family", "group-su")
         assert code == 2
@@ -258,6 +265,13 @@ class TestSphereVerify:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "t,p,t_pow_k,residual"
         assert len(lines) == 102  # header + 101 grid points
+
+    def test_unwritable_csv_exits_two(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "sphere-verify", "--n", "5", "--k", "2",
+                                 "--samples", "200",
+                                 "--csv", str(tmp_path / "missing" / "grid.csv"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
 
     def test_bad_arguments(self, capsys):
         code, _, err = run_cli(capsys, "sphere-verify", "--n", "1", "--k", "2")

@@ -315,28 +315,31 @@ class TestIncrementalFold:
                                          "group-spin-even")],
                              ids=lambda s: f"{s.family}{s.base_coeffs}")
     def test_certificate_rejects_bad_witness_level(self, monkeypatch, system, perturb):
+        # the per-level witness step reads a perturbed level-10 row; a finished
+        # sequence and a scan must both lose the certificate
         seq = c_sequence(system, range(system.base_level, 16))
-        assert limits._certificate_evidence(seq) is not None
+        assert classify(seq).evidence["certificate"] is not None
+        assert classify_scan(system, 15)[1].evidence["certificate"] is not None
         label = datum_at_level(system, system.base_level).psi.label
         k0 = next(i + 1 for i, c in enumerate(system.base_coeffs) if c)
-        real_rows, bad_level = limits._level_rows, 10
+        real_pairing, bad_level = limits._witness_pairing, 10
 
-        def perturbed_rows(system, level):
-            datum, coeffs, r4 = real_rows(system, level)
-            if level != bad_level:
-                return datum, coeffs, r4
-            if perturb == "rho_not_affine":
-                i = infinite_rank_root_sequence(label, level, k0).entries[-1][0]
-                r4 = r4[:i] + (r4[i] + 4,) + r4[i + 1:]
-            elif perturb == "mult_changes":
-                datum = dataclasses.replace(datum, mult_middle=datum.mult_middle + 1,
-                                            mult_alpha1=datum.mult_alpha1 + 1)
-            else:
-                coeffs = [0] * len(coeffs)
-            return datum, coeffs, r4
+        def perturbed_pairing(witness, level, rows):
+            datum, coeffs, r4 = rows
+            if level == bad_level:
+                if perturb == "rho_not_affine":
+                    i = infinite_rank_root_sequence(label, level, k0).entries[-1][0]
+                    r4 = r4[:i] + (r4[i] + 4,) + r4[i + 1:]
+                elif perturb == "mult_changes":
+                    datum = dataclasses.replace(datum, mult_middle=datum.mult_middle + 1,
+                                                mult_alpha1=datum.mult_alpha1 + 1)
+                else:
+                    coeffs = [0] * len(coeffs)
+            return real_pairing(witness, level, (datum, coeffs, r4))
 
-        monkeypatch.setattr(limits, "_level_rows", perturbed_rows)
-        assert limits._certificate_evidence(seq) is None
+        monkeypatch.setattr(limits, "_witness_pairing", perturbed_pairing)
+        assert classify(seq).evidence.get("certificate") is None
+        assert classify_scan(system, 15)[1].evidence.get("certificate") is None
 
     def test_evidence_pinned(self):
         # verdicts and evidence of contiguous scans at three batch sizes and of
@@ -402,9 +405,9 @@ class TestClassifierEdges:
         seen = []
 
         def bumped(system, levels):
-            for index, value in enumerate(real(system, levels)):
+            for index, (value, rows) in enumerate(real(system, levels)):
                 seen.append(index)
-                yield 2 * value if index == bad_index else value
+                yield (2 * value if index == bad_index else value), rows
 
         monkeypatch.setattr(limits, "_values_at", bumped)
         with pytest.raises(ValueError, match="increased"):
@@ -416,27 +419,18 @@ class TestClassifierEdges:
                              ids=["grass-real-p3", "group-sp"])
     @pytest.mark.parametrize("batch", [1, 25])
     def test_scan_builds_each_level_once(self, monkeypatch, system, batch):
-        # the fold builds every scanned level once; the witness certificate
-        # of an infinite-rank chain builds its own levels, counted apart
-        real_build, real_cert = limits.build_space, limits._certificate_evidence
-        fold_calls, in_cert = [0], [False]
+        # every build_space call counts, those for the witness certificate too
+        real_build, calls = limits.build_space, [0]
 
         def counting_build(*args, **kwargs):
-            fold_calls[0] += not in_cert[0]
+            calls[0] += 1
             return real_build(*args, **kwargs)
 
-        def marked_cert(seq):
-            in_cert[0] = True
-            try:
-                return real_cert(seq)
-            finally:
-                in_cert[0] = False
-
         monkeypatch.setattr(limits, "build_space", counting_build)
-        monkeypatch.setattr(limits, "_certificate_evidence", marked_cert)
         seq, report = classify_scan(system, max_level=2000, batch=batch)
         assert report.decided
-        assert fold_calls[0] == len(seq.levels)
+        assert system.mode == MODE_FINITE or report.evidence["certificate"] is not None
+        assert calls[0] == len(seq.levels)
 
     def test_empty_sequence_rejected(self):
         system = DirectSystem("rank1-real", (1,))
