@@ -178,43 +178,20 @@ def _product_from(datum: SpaceDatum, coeffs: list[int], lo: int) -> tuple[int, i
     the pattern roots whose largest f-index is at least ``lo``: the single
     roots s*f_j and the pairs f_j -+ f_i (i < j) with j >= lo.
 
-    One row per f-index j >= lo: the row's roots are validated, their
-    factors multiplied as small integers, and the reduced row cancelled
-    into the running pair by gcds, as Fraction multiplication does.  With
-    lo = 0 this is the whole product; along a chain whose integer
-    f-coefficients ``coeffs`` and rho extend those of a lower level of
-    ambient dimension lo, it is c(this level) / c(lower level).  Rejects
-    like ``c_value``.
+    One row per f-index j >= lo: ``_row_factors`` validates the row's roots
+    and lists its nontrivial factors, which are multiplied as small
+    integers, and the reduced row is cancelled into the running pair by
+    gcds, as Fraction multiplication does.  With lo = 0 this is the whole
+    product; along a chain whose integer f-coefficients ``coeffs`` and rho
+    extend those of a lower level of ambient dimension lo, it is
+    c(this level) / c(lower level).  Rejects like ``c_value``.
     """
-    r4 = _rho4(datum)
-    s, sums, pair_orbit = ROOT_PATTERNS[datum.psi.label]
-    # (8x, 8y) per orbit; None for a multiplicity-zero pattern entry, not a root
-    single, pair = ((2 * (mh + 2), 2 * (mh + 2 * m)) if m or mh else None
-                    for m, mh in map(datum.mults_for, (ORBIT_ALPHA1, pair_orbit)))
+    r4, pattern = _rho4(datum), _row_pattern(datum)
     num = den = 1
     for j in range(lo, len(coeffs)):
-        mj, rj = coeffs[j], r4[j]
-        row = []  # (mu_alpha, 8*rho_alpha, (8x, 8y)) of the row's nontrivial factors
-        if s:  # root s*f_j
-            mu_a, rem = divmod(mj, s)
-            if mu_a < 0 or rem:
-                _reject(datum, coeffs)
-            if mu_a and single:
-                row.append((mu_a, 2 * rj // s, single))
-        for i in range(j):  # roots f_j - f_i, and f_j + f_i where they occur
-            diff = mj - coeffs[i]
-            tot = mj + coeffs[i] if sums else 0
-            if diff < 0 or diff & 1 or tot < 0:
-                _reject(datum, coeffs)
-            if diff and pair:
-                row.append((diff >> 1, rj - r4[i], pair))
-            if tot and pair:
-                row.append((tot >> 1, rj + r4[i], pair))
         rn = rd = 1
-        for mu_a, rho8, xy8 in row:
-            if rho8 <= 0:
-                raise ArithmeticError("internal error: nonpositive rho pairing on a root")
-            fn, fd = _root_factor(mu_a, rho8, *xy8, 8)
+        for mu_a, rho8, (x8, y8) in _row_factors(datum, coeffs, r4, j, pattern):
+            fn, fd = _root_factor(mu_a, rho8, x8, y8, 8)
             rn *= fn
             rd *= fd
         g = math.gcd(rn, rd)
@@ -222,6 +199,49 @@ def _product_from(datum: SpaceDatum, coeffs: list[int], lo: int) -> tuple[int, i
         g1, g2 = math.gcd(num, rd), math.gcd(rn, den)
         num, den = (num // g1) * (rn // g2), (den // g2) * (rd // g1)
     return num, den
+
+
+def _row_pattern(datum: SpaceDatum) -> tuple:
+    """What ``_row_factors`` reads of the datum besides 4 rho: the pattern's
+    single-root coefficient s and sums flag, then (8x, 8y) of the alpha1
+    orbit and of the pair orbit, None for an orbit of multiplicity zero,
+    whose pattern entries are not roots."""
+    s, sums, pair_orbit = ROOT_PATTERNS[datum.psi.label]
+    single, pair = ((2 * (mh + 2), 2 * (mh + 2 * m)) if m or mh else None
+                    for m, mh in map(datum.mults_for, (ORBIT_ALPHA1, pair_orbit)))
+    return s, sums, single, pair
+
+
+def _row_factors(datum: SpaceDatum, coeffs: list[int], r4: tuple[int, ...], j: int,
+                 pattern: tuple) -> list[tuple[int, int, tuple[int, int]]]:
+    """The nontrivial factors (mu_alpha, 8 rho_alpha, (8x, 8y)) of f-index
+    row j: the single root s*f_j, then the pairs f_j - f_i and f_j + f_i
+    (i < j) where they occur, from the integer f-coefficients, 4 rho and
+    ``_row_pattern``.  Every root of the row is validated, as ``c_value``
+    rejects, before roots of multiplicity zero or mu_alpha = 0 are skipped.
+    """
+    s, sums, single, pair = pattern
+    mj, rj = coeffs[j], r4[j]
+    row = []
+    if s:  # root s*f_j
+        mu_a, rem = divmod(mj, s)
+        if mu_a < 0 or rem:
+            _reject(datum, coeffs)
+        if mu_a and single:
+            row.append((mu_a, 2 * rj // s, single))
+    for i in range(j):  # roots f_j - f_i, and f_j + f_i where they occur
+        diff = mj - coeffs[i]
+        tot = mj + coeffs[i] if sums else 0
+        if diff < 0 or diff & 1 or tot < 0:
+            _reject(datum, coeffs)
+        if diff and pair:
+            row.append((diff >> 1, rj - r4[i], pair))
+        if tot and pair:
+            row.append((tot >> 1, rj + r4[i], pair))
+    for _, rho8, _ in row:
+        if rho8 <= 0:
+            raise ArithmeticError("internal error: nonpositive rho pairing on a root")
+    return row
 
 
 def _log_cprime(lam: float, quarter_mh: float, m: int) -> float:

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .cfunc import _product_from
+from .cfunc import _product_from, _row_factors, _row_pattern
 from .rootdata import (
     FAMILIES,
     ORBIT_ALPHA1,
@@ -156,18 +157,45 @@ class CSequence:
                          tuple(v for _, v in merged))
 
 
-def _values_at(system: DirectSystem, levels: Iterable[int]) -> Iterator[tuple[Fraction, tuple]]:
-    """Exact values at ascending levels, folded serially from one level to
-    the next and yielded one at a time, each with the rows it was computed
-    from: ``_level_rows`` at that level.
+def _values_at(system: DirectSystem, levels: Iterable[int]) -> Iterator[tuple[Fraction, tuple | None]]:
+    """Exact values at ascending levels, yielded one at a time, each with
+    the rows it was computed from (``_level_rows`` at that level) on an
+    infinite-rank chain and None on a finite-rank one, where no certificate
+    reads them.
 
-    When the multiplicities agree and the weight's f-coefficients and rho
-    only grow by new trailing entries (every infinite-rank chain), a value
-    is the one before it times the factors of the roots that reach the new
-    indices (the one-step overlap q(n+1, n)^2).  Otherwise (a Grassmannian
-    chain, whose multiplicities and rho move with q, or the first level)
-    the level is the whole product, as ``c_value`` computes it.
+    Infinite rank: the multiplicities agree from level to level and the
+    weight's f-coefficients and rho only grow by new trailing entries, so a
+    value is the one before it times the factors of the roots that reach
+    the new indices (the one-step overlap q(n+1, n)^2); the first level, or
+    one that fails that prefix test, is the whole product.
+
+    Finite rank (p fixed, level q): only the half-root multiplicity
+    m_half = d(q - p) moves with q (``rootdata.FAMILIES``), and 4 rho is
+    linear in the multiplicities (``_rho4``), so on every root 8 rho_alpha,
+    8 x_alpha = 2(m_half + 2) and 8 y_alpha = 2(m_half + 2m) are affine in
+    q, while mu_alpha depends only on the fixed weight.  For q >= p+1 the
+    root set is fixed as well (at q = p the half roots, and on grass-real
+    the single roots, have multiplicity zero).  So every root factor's
+    linear forms are affine in t = q - (p+1), and c(q) is one rational
+    function of q, which ``_grassmannian_table`` reads once per call; each
+    level above p is evaluated from it, and since Fraction is canonical the
+    value is the one ``c_value`` gives.  The level q = p is one whole
+    product.
     """
+    if system.mode == MODE_FINITE:
+        p, table = system.fixed_p, None
+        for level in levels:
+            if level <= p:  # q = p; _level_rows rejects a level below it
+                datum, coeffs, _ = _level_rows(system, level)
+                yield Fraction(*_product_from(datum, coeffs, 0)), None
+                continue
+            if table is None:
+                table = _grassmannian_table(system)
+            const_num, const_den, num, den = table
+            t = level - p - 1
+            yield Fraction(const_num * math.prod(a * t + b for a, b in num),
+                           const_den * math.prod(a * t + b for a, b in den)), None
+        return
     prev = None  # (datum, f-coefficients, 4 rho, value) of the last level
     for level in levels:
         rows = datum, coeffs, r4 = _level_rows(system, level)
@@ -181,6 +209,64 @@ def _values_at(system: DirectSystem, levels: Iterable[int]) -> Iterator[tuple[Fr
         value *= Fraction(*_product_from(datum, coeffs, lo))
         yield value, rows
         prev = (*rows, value)
+
+
+def _grassmannian_table(system: DirectSystem) -> tuple[int, int, list, list]:
+    """c(q) on a finite-rank chain for q >= p+1 as (C_n, C_d, num, den):
+    c(p+1+t) = C_n prod(a t + b) / (C_d prod(c t + d)) over the integer
+    linear forms (a, b) in ``num`` and (c, d) in ``den``.
+
+    Each root factor's numbers (mu_alpha, 8 rho_alpha, 8 x_alpha, 8 y_alpha)
+    are read through ``_row_factors`` at q = p+1 and p+2, which fixes them
+    as affine functions of t (see ``_values_at``), and checked at q = p+3.
+    A root with slopes (dR, dX, dY) gives the forms of ``_root_factor``:
+    (2 dR) t + (2R + 8j) for j < 2 mu over (dR + dX) t + (R + X + 8j) and
+    (dR + dY) t + (R + Y + 8j) for j < mu, and the constant 4^mu in the
+    denominator.  Every form is divided by its content, the contents go
+    into C_n and C_d, and equal forms cancel.  Raises ArithmeticError if a
+    factor is not affine or a form could turn nonpositive at some t >= 0.
+    """
+    p = system.fixed_p
+    factors = []
+    for q in (p + 1, p + 2, p + 3):
+        datum, coeffs, r4 = _level_rows(system, q)
+        pattern = _row_pattern(datum)
+        factors.append([(mu, rho8, x8, y8) for j in range(len(coeffs))
+                        for mu, rho8, (x8, y8) in _row_factors(datum, coeffs, r4, j, pattern)])
+    if len({len(level) for level in factors}) != 1:
+        raise ArithmeticError("internal error: the root set moves with q above q = p")
+    num, den = [], []
+    for first, second, third in zip(*factors):
+        mu, rho8, x8, y8 = first
+        step = [b - a for a, b in zip(first, second)]
+        if step[0] or [b - a for a, b in zip(second, third)] != step:
+            raise ArithmeticError("internal error: a root factor is not affine in q above q = p")
+        _, d_rho, d_x, d_y = step
+        num += [(2 * d_rho, 2 * rho8 + 8 * j) for j in range(2 * mu)]
+        den += [(d_rho + d_x, rho8 + x8 + 8 * j) for j in range(mu)]
+        den += [(d_rho + d_y, rho8 + y8 + 8 * j) for j in range(mu)] + [(0, 4 ** mu)]
+    const_num, num = _primitive_forms(num)
+    const_den, den = _primitive_forms(den)
+    common = num & den
+    g = math.gcd(const_num, const_den)
+    return (const_num // g, const_den // g,
+            sorted((num - common).elements()), sorted((den - common).elements()))
+
+
+def _primitive_forms(forms: Iterable[tuple[int, int]]) -> tuple[int, Counter]:
+    """The product of the forms' contents, and the nonconstant forms divided
+    by their content, counted; a constant form goes wholly into the content.
+    Every intercept is positive (``_row_factors`` checks rho), so a form
+    stays positive for every t >= 0 unless its slope is negative."""
+    content, out = 1, Counter()
+    for a, b in forms:
+        if a < 0:
+            raise ArithmeticError("internal error: a linear form in q decreases")
+        g = math.gcd(a, b)
+        content *= g
+        if a:
+            out[a // g, b // g] += 1
+    return content, out
 
 
 def c_sequence(system: DirectSystem, levels: Sequence[int]) -> CSequence:

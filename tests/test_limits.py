@@ -4,12 +4,14 @@ certificates, and the limit classifier."""
 import dataclasses
 import hashlib
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from sphelim import limits
-from sphelim.cfunc import CFactorParams, c_value
+from sphelim.cfunc import CFactorParams, _root_factor, c_value
 from sphelim.cli import to_jsonable
 from sphelim.limits import (
     MODE_FINITE,
@@ -235,8 +237,8 @@ def _first_weight_systems():
 
 FIRST_WEIGHT_SYSTEMS = _first_weight_systems()
 FIRST_WEIGHT_IDS = [f"{s.family}{s.base_coeffs}" for s in FIRST_WEIGHT_SYSTEMS]
-# finite-rank chains: rho and the multiplicities move with q, so every level
-# is the whole product
+# finite-rank chains: q = p is one whole product, and every level above it
+# comes from the chain's table of linear forms in q
 FOLD_SYSTEMS = FIRST_WEIGHT_SYSTEMS + [
     DirectSystem(family, (1,) * p, fixed_p=p)
     for family in FINITE_FAMILIES for p in (1, 2, 3)
@@ -355,6 +357,112 @@ class TestIncrementalFold:
             "472e9f5cfa57c30aecc937bd23c2c283f49893146965b16952f97891065c5bcd")
 
 
+def _table_systems():
+    """Six seeded weights (digits 0..3) on every Grassmannian field at
+    p = 1..6, and on rank1-real."""
+    rng = random.Random(20260418)
+    chains = [(family, p) for family in FINITE_FAMILIES for p in range(1, 7)]
+    chains.append(("rank1-real", 1))
+    return [DirectSystem(family, tuple(rng.randrange(4) for _ in range(p)), fixed_p=p)
+            for family, p in chains for _ in range(6)]
+
+
+TABLE_SYSTEMS = _table_systems()
+
+
+def _leading_ratio(system):
+    """The limit of c(q) as q -> oo read from the table: the ratio of the
+    leading coefficients, with both sides of equal degree."""
+    const_num, const_den, num, den = limits._grassmannian_table(system)
+    assert len(num) == len(den)
+    return Fraction(const_num * math.prod(a for a, _ in num),
+                    const_den * math.prod(c for c, _ in den))
+
+
+class TestGrassmannianTable:
+    """Levels q >= p+1 of a finite-rank chain come from one table of linear
+    forms in q per call; every value must be the whole product's."""
+
+    @pytest.mark.parametrize("field", FINITE_FAMILIES + ("rank1-real",))
+    def test_table_values_match_from_scratch(self, field):
+        for system in (s for s in TABLE_SYSTEMS if s.family == field):
+            p = system.fixed_p
+            levels = list(range(p, p + 41)) + [500, 10 ** 4]
+            seq = c_sequence(system, levels)
+            assert seq.levels == tuple(levels)
+            assert seq.values == _from_scratch(system, levels)
+
+    @pytest.mark.parametrize("system", [DirectSystem(family, (1,) * 3, fixed_p=3)
+                                        for family in FINITE_FAMILIES]
+                             + [DirectSystem("rank1-real", (2,))],
+                             ids=lambda s: s.family)
+    def test_sparse_and_extended_levels(self, system):
+        p = system.fixed_p
+        seq = c_sequence(system, (p + 7, p + 2, 900))
+        assert seq.values == _from_scratch(system, seq.levels)
+        seq = seq.extended([p, 40, p + 1, 10 ** 4])
+        assert seq.levels == (p, p + 1, p + 2, p + 7, 40, 900, 10 ** 4)
+        assert seq.values == _from_scratch(system, seq.levels)
+        with pytest.raises(ValueError, match="below the base level"):
+            seq.extended([p - 1])
+
+    def test_lattice_rejection_keeps_its_message(self):
+        # a negative coefficient cannot pass DirectSystem; set it behind the
+        # validation to reach the rows the table reads
+        system = DirectSystem("grass-complex", (1, 1), fixed_p=2)
+        object.__setattr__(system, "base_coeffs", (2, -3))
+        with pytest.raises(ValueError) as expected:
+            c_value(*propagate(system, 3))
+        assert "not in the spherical dominant lattice" in str(expected.value)
+        with pytest.raises(ValueError) as table:
+            limits._grassmannian_table(system)
+        assert str(table.value) == str(expected.value)
+        with pytest.raises(ValueError) as scan:
+            c_sequence(system, [5])
+        assert str(scan.value) == str(expected.value)
+
+    @pytest.mark.parametrize("mult_half, error", [
+        (lambda p, q: (q - p) ** 2, "not affine"),
+        (lambda p, q: 12 + p - q, "decreases"),
+    ], ids=["quadratic", "decreasing"])
+    @pytest.mark.parametrize("family", FINITE_FAMILIES)
+    def test_refuses_a_chain_that_is_not_affine_in_q(self, monkeypatch, family,
+                                                     mult_half, error):
+        # a half-root multiplicity that is not d(q - p) breaks what the table
+        # relies on; the table must raise, not return values
+        row = FAMILIES[family]
+        monkeypatch.setitem(FAMILIES, family, dataclasses.replace(row, mult_half_of=mult_half))
+        system = DirectSystem(family, (1, 1), fixed_p=2)
+        c_value(*propagate(system, 5))  # every level is still a valid space
+        with pytest.raises(ArithmeticError, match=error):
+            limits._grassmannian_table(system)
+        with pytest.raises(ArithmeticError, match=error):
+            c_sequence(system, range(2, 6))
+
+    def test_root_factor_memo_does_not_grow_with_the_scan(self):
+        system = DirectSystem("grass-quaternion", (1,) * 6, fixed_p=6)
+        sizes = []
+        for top in (200, 2000):
+            _root_factor.cache_clear()
+            c_sequence(system, range(6, top + 1))
+            sizes.append(_root_factor.cache_info().currsize)
+        assert sizes[0] == sizes[1]
+
+    @pytest.mark.parametrize("system, limit", [
+        *((DirectSystem("rank1-real", (k,)), Fraction(1, 4 ** k)) for k in range(1, 6)),
+        *((DirectSystem(family, (1, 1), fixed_p=2), Fraction(1, 128))
+          for family in FINITE_FAMILIES),
+        *((DirectSystem(family, (2, 0, 0, 0, 0, 0), fixed_p=6), Fraction(1, 2 ** 24))
+          for family in FINITE_FAMILIES),
+    ], ids=lambda v: f"{v.family}{v.base_coeffs}" if isinstance(v, DirectSystem) else "")
+    def test_leading_ratio_is_the_limit(self, system, limit):
+        assert _leading_ratio(system) == limit
+        seq, report = classify_scan(system, 20000)
+        assert report.verdict == VERDICT_POSITIVE
+        assert min(seq.values) >= limit
+        assert c_sequence(system, [10 ** 6]).values[0] >= limit
+
+
 class TestFiniteChains:
     @pytest.mark.parametrize("family", FINITE_FAMILIES)
     def test_positive_limits(self, family):
@@ -419,7 +527,9 @@ class TestClassifierEdges:
                              ids=["grass-real-p3", "group-sp"])
     @pytest.mark.parametrize("batch", [1, 25])
     def test_scan_builds_each_level_once(self, monkeypatch, system, batch):
-        # every build_space call counts, those for the witness certificate too
+        # every build_space call counts, those for the witness certificate too;
+        # a finite-rank scan builds q = p and the three levels of its table,
+        # however long it runs
         real_build, calls = limits.build_space, [0]
 
         def counting_build(*args, **kwargs):
@@ -429,8 +539,11 @@ class TestClassifierEdges:
         monkeypatch.setattr(limits, "build_space", counting_build)
         seq, report = classify_scan(system, max_level=2000, batch=batch)
         assert report.decided
-        assert system.mode == MODE_FINITE or report.evidence["certificate"] is not None
-        assert calls[0] == len(seq.levels)
+        if system.mode == MODE_FINITE:
+            assert calls[0] <= 4 < len(seq.levels)
+        else:
+            assert report.evidence["certificate"] is not None
+            assert calls[0] == len(seq.levels)
 
     def test_empty_sequence_rejected(self):
         system = DirectSystem("rank1-real", (1,))
