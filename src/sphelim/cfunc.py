@@ -140,16 +140,20 @@ _FACTOR_CACHE_SIZE = 4096
 
 @functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
 def _root_factor(mu_a: int, rho_q: int, x_q: int, y_q: int, q: int) -> tuple[int, int]:
-    """Unreduced integer numerator/denominator of one root factor, from
-    mu_alpha and q * (rho_alpha, x_alpha, y_alpha) for a scale q that makes
-    all three integral; both products carry 2 mu_alpha factors of q."""
+    """Integer numerator/denominator of one root factor in lowest terms,
+    from mu_alpha and q * (rho_alpha, x_alpha, y_alpha) for a scale q that
+    makes all three integral.  The telescoped products, which carry 2
+    mu_alpha factors of q each, are cancelled by one gcd per cache miss,
+    so every lookup hands the caller a small coprime pair."""
     fn = 1
     for j in range(2 * mu_a):
         fn *= 2 * rho_q + q * j
     fd = 1
     for j in range(mu_a):
         fd *= (rho_q + x_q + q * j) * (rho_q + y_q + q * j)
-    return fn, fd << (2 * mu_a)
+    fd <<= 2 * mu_a
+    g = math.gcd(fn, fd)
+    return fn // g, fd // g
 
 
 def c_value(datum: SpaceDatum, mu) -> Fraction:
@@ -179,9 +183,10 @@ def _product_from(datum: SpaceDatum, coeffs: list[int], lo: int) -> tuple[int, i
     roots s*f_j and the pairs f_j -+ f_i (i < j) with j >= lo.
 
     One row per f-index j >= lo: ``_row_factors`` validates the row's roots
-    and lists its nontrivial factors, which are multiplied as small
-    integers, and the reduced row is cancelled into the running pair by
-    gcds, as Fraction multiplication does.  With lo = 0 this is the whole
+    and lists its nontrivial factors, whose coprime pairs from the
+    ``_root_factor`` memo are multiplied as small integers; the row is
+    reduced by one gcd and cancelled into the running pair by gcds, as
+    Fraction multiplication does.  With lo = 0 this is the whole
     product; along a chain whose integer f-coefficients ``coeffs`` and rho
     extend those of a lower level of ambient dimension lo, it is
     c(this level) / c(lower level).  Rejects like ``c_value``.
@@ -252,6 +257,18 @@ def _log_cprime(lam: float, quarter_mh: float, m: int) -> float:
             - math.lgamma(lam + quarter_mh + 0.5 * m))
 
 
+# Entries kept by the oracle's per-root memo, fixed like _FACTOR_CACHE_SIZE.
+# The whole criterion-3 grid needs 524 of them for 6.5 M lookups.
+_GAMMA_TERM_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_GAMMA_TERM_CACHE_SIZE)
+def _gamma_term(lam4: int | float, scale: int, quarter: float, m: int) -> float:
+    """``_log_cprime`` at lambda_alpha = lam4 / scale: one root's log-Gamma
+    term, from 4 <lam, alpha>, 4 |alpha|^2, m_half / 4 and m_alpha."""
+    return _log_cprime(lam4 / scale, quarter, m)
+
+
 @functools.lru_cache(maxsize=256)
 def _gamma_root_table(datum: SpaceDatum) -> tuple:
     """The roots ``c_gamma`` sums over, with everything that depends only on
@@ -267,8 +284,7 @@ def _gamma_root_table(datum: SpaceDatum) -> tuple:
         rho4 = sum(r4[i] * v for i, v in entries)
         scale = 4 * norm_sq
         quarter = mh / 4.0
-        table.append((entries, rho4, scale, quarter, m,
-                      _log_cprime(rho4 / scale, quarter, m)))
+        table.append((entries, rho4, scale, quarter, m, _gamma_term(rho4, scale, quarter, m)))
     return tuple(table)
 
 
@@ -298,7 +314,7 @@ def c_gamma(datum: SpaceDatum, lam) -> float:
             lam4 = vec4[i0] * v0 + vec4[i1] * v1
         if lam4 == rho4:
             continue
-        total += _log_cprime(lam4 / scale, quarter, m) - rho_term
+        total += _gamma_term(lam4, scale, quarter, m) - rho_term
     return math.exp(total)
 
 

@@ -447,8 +447,10 @@ def _rho4(datum: SpaceDatum) -> tuple[int, ...]:
     return tuple(2 * (2 * j * m_pair + single) for j in range(datum.psi.ambient_dim))
 
 
+@functools.lru_cache(maxsize=256)
 def rho(datum: SpaceDatum) -> Weight:
-    """Half the multiplicity-weighted sum of the positive restricted roots."""
+    """Half the multiplicity-weighted sum of the positive restricted roots.
+    Memoized like ``_rho4``: the datum and the returned Weight are frozen."""
     return Weight(tuple(Fraction(c, 4) for c in _rho4(datum)))
 
 

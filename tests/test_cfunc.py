@@ -22,7 +22,10 @@ from helpers import (
 from sphelim.cfunc import (
     BigRational,
     CFactorParams,
+    _gamma_term,
+    _log_cprime,
     _product_from,
+    _root_factor,
     c_factor,
     c_factor_reference,
     c_gamma,
@@ -37,6 +40,7 @@ from sphelim.rootdata import (
     Weight,
     _f_ints_from_xi,
     build_space,
+    iter_root_support,
     lambda_alpha,
     pad_xi_coeffs,
     positive_nonmultipliable_roots,
@@ -164,6 +168,41 @@ class TestCFactor:
             assert rel < mpmath.mpf("1e-40")
 
 
+class TestRootFactorMemo:
+    def test_entries_are_coprime_and_exact(self):
+        """Every memo entry is the reference factor in lowest terms, for
+        quarter-integer rho, x, y and for rho that only c_factor's scale
+        8 * denominator makes integral."""
+        rhos = [Fraction(k, 4) for k in range(1, 13)] + [
+            Fraction(k, d) for d in (3, 5) for k in range(1, 2 * d) if k % d]
+        cases = 0
+        for mu, rho_a in itertools.product(range(7), rhos):
+            q = 8 * rho_a.denominator
+            for x4 in range(2, 8):
+                for y4 in range(x4 - 2, x4 + 5):
+                    params = CFactorParams(mu, rho_a, Fraction(x4, 4), Fraction(y4, 4))
+                    num, den = _root_factor(mu, int(rho_a * q), x4 * q // 4, y4 * q // 4, q)
+                    assert den > 0 and math.gcd(num, den) == 1, params
+                    assert Fraction(num, den) == c_factor_reference(params), params
+                    cases += 1
+        assert cases == 7 * 24 * 6 * 7
+
+    def test_memos_stay_bounded_over_the_criterion_3_sweep(self):
+        """Both per-root memos hold the whole criterion-3 working set: they
+        stay within their bounds and never evict, so each key is computed
+        once."""
+        _root_factor.cache_clear()
+        _gamma_term.cache_clear()
+        for datum in oracle_grid_instances():
+            for coeffs in itertools.product(range(5), repeat=datum.rank):
+                c_value(datum, coeffs)
+                c_oracle(datum, coeffs)
+        for memo in (_root_factor, _gamma_term):
+            info = memo.cache_info()
+            assert 0 < info.currsize <= info.maxsize
+            assert info.misses == info.currsize and info.hits > info.misses
+
+
 class TestCValue:
     def test_normalization(self):
         for datum in INSTANCES:
@@ -264,7 +303,43 @@ def shifted_parameter(datum, coeffs) -> tuple[Fraction, ...]:
     return tuple(a + b for a, b in zip(mu.coeffs_f, rho(datum).coeffs_f))
 
 
+def memo_free_c_gamma(datum, lam) -> float:
+    """c_gamma's sum written out: one pair of _log_cprime terms per root of
+    nonzero multiplicity, in iter_root_support order, with no memo."""
+    r4 = [4 * c for c in rho(datum).coeffs_f]
+    l4 = [4 * Fraction(c) for c in lam]
+    total = 0.0
+    for orbit, norm_sq, entries in iter_root_support(datum.psi):
+        m, mh = datum.mults_for(orbit)
+        if (m, mh) == (0, 0):
+            continue
+        rho4 = int(sum(r4[i] * v for i, v in entries))
+        lam4 = int(sum(l4[i] * v for i, v in entries))
+        if lam4 != rho4:
+            total += (_log_cprime(lam4 / (4 * norm_sq), mh / 4.0, m)
+                      - _log_cprime(rho4 / (4 * norm_sq), mh / 4.0, m))
+    return math.exp(total)
+
+
 class TestCGammaOracle:
+    def test_memo_keeps_every_float(self):
+        """On a seeded criterion-3 sample, c_gamma with a cold memo and again
+        with a warm one gives the memo-free sum to the last bit."""
+        rng = random.Random("c-gamma-memo")
+        grid = oracle_grid_instances()
+        sample = []
+        for _ in range(1500):
+            datum = rng.choice(grid)
+            sample.append((datum, tuple(rng.randrange(5) for _ in range(datum.rank))))
+        _gamma_term.cache_clear()
+        for _ in range(2):
+            for datum, coeffs in sample:
+                lam = shifted_parameter(datum, coeffs)
+                got = c_gamma(datum, lam)
+                assert float.hex(got) == float.hex(memo_free_c_gamma(datum, lam)), (
+                    datum.family, datum.params, coeffs)
+        assert _gamma_term.cache_info().hits > 0
+
     @pytest.mark.parametrize("datum", INSTANCES, ids=IDS)
     def test_relative_agreement(self, datum):
         for coeffs in [(1,) * datum.rank,
@@ -408,3 +483,40 @@ class TestOneReductionSchedule:
         fold = c_sequence(DirectSystem("group-sp", (0, 1, 0, 2)), range(4, 401))
         assert value == fold.values[-1]
         assert elapsed < 10.0
+
+    def test_one_shot_matches_fold_at_rank_800(self):
+        datum = build_space("group-sp", n=800)
+        value = c_value(datum, pad_xi_coeffs((0, 1, 0, 2), datum.rank))
+        fold = c_sequence(DirectSystem("group-sp", (0, 1, 0, 2)), range(4, 801))
+        assert fold.levels[-1] == 800
+        assert value == fold.values[-1]
+
+
+XI1_CLOSED_FORMS = {
+    "group-sp": lambda n: Fraction(n + 2, math.comb(2 * n + 2, n + 1)),  # 1/Catalan(n+1)
+    "so-over-u-even": lambda n: Fraction(1, math.comb(2 * n, n)),
+    "so-over-u-odd": lambda n: Fraction(1, math.comb(2 * n + 1, n)),
+    "sp-over-u": lambda n: Fraction(n + 1, 2 ** (2 * n - 1)),
+    "group-spin-odd": lambda n: Fraction(1, 2 ** n),
+}
+
+
+class TestClosedFormChains:
+    """Chains whose every level has a closed form, folded far above the
+    ranks of criterion 3."""
+
+    @pytest.mark.parametrize("family", list(XI1_CLOSED_FORMS))
+    def test_xi1_chain_to_rank_300(self, family):
+        seq = c_sequence(DirectSystem(family, (1,)), range(1, 301))
+        assert seq.levels == tuple(range(1, 301))
+        for n, value in zip(seq.levels, seq.values):
+            assert value == XI1_CLOSED_FORMS[family](n), (family, n)
+
+    @pytest.mark.parametrize("family", ["group-su", "su-over-so", "su-over-sp"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_type_a_chain_is_inverse_binomial(self, family, k):
+        """At xi_k and rank r, c = 1/C(r+1, k), whatever the multiplicity."""
+        seq = c_sequence(DirectSystem(family, (0,) * (k - 1) + (1,)), range(k, 120))
+        assert seq.levels == tuple(range(k, 120))
+        for r, value in zip(seq.levels, seq.values):
+            assert value == Fraction(1, math.comb(r + 1, k)), (family, k, r)
