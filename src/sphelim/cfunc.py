@@ -18,10 +18,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .rootdata import (
     ORBIT_ALPHA1,
     ROOT_PATTERNS,
+    RestrictedRoot,
     SpaceDatum,
     Weight,
     _as_f_vector,
@@ -138,20 +140,24 @@ def _reject(datum: SpaceDatum, w):
 _FACTOR_CACHE_SIZE = 4096
 
 
+def _root_terms(mu_a: int, rho_q: int, x_q: int, y_q: int, q: int) -> tuple[list[int], list[int]]:
+    """The integer terms of one root factor, from mu_alpha and q * (rho_alpha,
+    x_alpha, y_alpha) for a scale q that makes all three integral: the
+    factor is prod(num) / prod(den) in the telescoped form of ``c_factor``,
+    with 2 rho + j for j < 2 mu over rho + x + j and rho + y + j for j < mu,
+    each scaled by q, and the constant 4^mu in the denominator."""
+    rx, ry = rho_q + x_q, rho_q + y_q
+    return ([*range(2 * rho_q, 2 * rho_q + 2 * q * mu_a, q)],
+            [*range(rx, rx + q * mu_a, q), *range(ry, ry + q * mu_a, q), 4 ** mu_a])
+
+
 @functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
 def _root_factor(mu_a: int, rho_q: int, x_q: int, y_q: int, q: int) -> tuple[int, int]:
-    """Integer numerator/denominator of one root factor in lowest terms,
-    from mu_alpha and q * (rho_alpha, x_alpha, y_alpha) for a scale q that
-    makes all three integral.  The telescoped products, which carry 2
-    mu_alpha factors of q each, are cancelled by one gcd per cache miss,
-    so every lookup hands the caller a small coprime pair."""
-    fn = 1
-    for j in range(2 * mu_a):
-        fn *= 2 * rho_q + q * j
-    fd = 1
-    for j in range(mu_a):
-        fd *= (rho_q + x_q + q * j) * (rho_q + y_q + q * j)
-    fd <<= 2 * mu_a
+    """``_root_terms`` multiplied out and reduced by one gcd per cache miss,
+    which cancels the 2 mu_alpha factors of q that the products carry, so
+    every lookup hands the caller a small coprime pair."""
+    num, den = _root_terms(mu_a, rho_q, x_q, y_q, q)
+    fn, fd = math.prod(num), math.prod(den)
     g = math.gcd(fn, fd)
     return fn // g, fd // g
 
@@ -182,8 +188,8 @@ def _product_from(datum: SpaceDatum, coeffs: list[int], lo: int) -> tuple[int, i
     the pattern roots whose largest f-index is at least ``lo``: the single
     roots s*f_j and the pairs f_j -+ f_i (i < j) with j >= lo.
 
-    One row per f-index j >= lo: ``_row_factors`` validates the row's roots
-    and lists its nontrivial factors, whose coprime pairs from the
+    One row per f-index j >= lo: ``_rows`` validates the row's roots and
+    lists its nontrivial factors, whose coprime pairs from the
     ``_root_factor`` memo are multiplied as small integers; the row is
     reduced by one gcd and cancelled into the running pair by gcds, as
     Fraction multiplication does.  With lo = 0 this is the whole
@@ -191,11 +197,10 @@ def _product_from(datum: SpaceDatum, coeffs: list[int], lo: int) -> tuple[int, i
     extend those of a lower level of ambient dimension lo, it is
     c(this level) / c(lower level).  Rejects like ``c_value``.
     """
-    r4, pattern = _rho4(datum), _row_pattern(datum)
     num = den = 1
-    for j in range(lo, len(coeffs)):
+    for row in _rows(datum, coeffs, lo):
         rn = rd = 1
-        for mu_a, rho8, (x8, y8) in _row_factors(datum, coeffs, r4, j, pattern):
+        for mu_a, rho8, (x8, y8) in row:
             fn, fd = _root_factor(mu_a, rho8, x8, y8, 8)
             rn *= fn
             rd *= fd
@@ -206,52 +211,45 @@ def _product_from(datum: SpaceDatum, coeffs: list[int], lo: int) -> tuple[int, i
     return num, den
 
 
-def _row_pattern(datum: SpaceDatum) -> tuple:
-    """What ``_row_factors`` reads of the datum besides 4 rho: the pattern's
-    single-root coefficient s and sums flag, then (8x, 8y) of the alpha1
-    orbit and of the pair orbit, None for an orbit of multiplicity zero,
-    whose pattern entries are not roots."""
+def _rows(datum: SpaceDatum, coeffs: list[int],
+          lo: int) -> Iterator[list[tuple[int, int, tuple[int, int]]]]:
+    """The nontrivial factors (mu_alpha, 8 rho_alpha, (8x, 8y)) of each
+    f-index row j >= lo, one list per row: the single root s*f_j, then the
+    pairs f_j - f_i and f_j + f_i (i < j) where they occur, from the
+    integer f-coefficients, 4 rho and the root pattern; an orbit of
+    multiplicity zero has no (8x, 8y), as its pattern entries are not roots.
+    Every root of a row is validated, as ``c_value`` rejects, before roots
+    of multiplicity zero or mu_alpha = 0 are skipped.
+    """
+    r4 = _rho4(datum)
     s, sums, pair_orbit = ROOT_PATTERNS[datum.psi.label]
     single, pair = ((2 * (mh + 2), 2 * (mh + 2 * m)) if m or mh else None
                     for m, mh in map(datum.mults_for, (ORBIT_ALPHA1, pair_orbit)))
-    return s, sums, single, pair
-
-
-def _row_factors(datum: SpaceDatum, coeffs: list[int], r4: tuple[int, ...], j: int,
-                 pattern: tuple) -> list[tuple[int, int, tuple[int, int]]]:
-    """The nontrivial factors (mu_alpha, 8 rho_alpha, (8x, 8y)) of f-index
-    row j: the single root s*f_j, then the pairs f_j - f_i and f_j + f_i
-    (i < j) where they occur, from the integer f-coefficients, 4 rho and
-    ``_row_pattern``.  Every root of the row is validated, as ``c_value``
-    rejects, before roots of multiplicity zero or mu_alpha = 0 are skipped.
-    """
-    s, sums, single, pair = pattern
-    mj, rj = coeffs[j], r4[j]
-    row = []
-    if s:  # root s*f_j
-        mu_a, rem = divmod(mj, s)
-        if mu_a < 0 or rem:
-            _reject(datum, coeffs)
-        if mu_a and single:
-            row.append((mu_a, 2 * rj // s, single))
-    for i in range(j):  # roots f_j - f_i, and f_j + f_i where they occur
-        diff = mj - coeffs[i]
-        tot = mj + coeffs[i] if sums else 0
-        if diff < 0 or diff & 1 or tot < 0:
-            _reject(datum, coeffs)
-        if diff and pair:
-            row.append((diff >> 1, rj - r4[i], pair))
-        if tot and pair:
-            row.append((tot >> 1, rj + r4[i], pair))
-    for _, rho8, _ in row:
-        if rho8 <= 0:
-            raise ArithmeticError("internal error: nonpositive rho pairing on a root")
-    return row
+    for j in range(lo, len(coeffs)):
+        mj, rj = coeffs[j], r4[j]
+        row = []
+        if s:  # root s*f_j
+            mu_a, rem = divmod(mj, s)
+            if mu_a < 0 or rem:
+                _reject(datum, coeffs)
+            if mu_a and single:
+                row.append((mu_a, 2 * rj // s, single))
+        for i in range(j):  # roots f_j - f_i, and f_j + f_i where they occur
+            diff = mj - coeffs[i]
+            tot = mj + coeffs[i] if sums else 0
+            if diff < 0 or diff & 1 or tot < 0:
+                _reject(datum, coeffs)
+            if diff and pair:
+                row.append((diff >> 1, rj - r4[i], pair))
+            if tot and pair:
+                row.append((tot >> 1, rj + r4[i], pair))
+        for _, rho8, _ in row:
+            if rho8 <= 0:
+                raise ArithmeticError("internal error: nonpositive rho pairing on a root")
+        yield row
 
 
 def _log_cprime(lam: float, quarter_mh: float, m: int) -> float:
-    if lam <= 0:
-        raise ArithmeticError("internal error: nonpositive Gamma argument")
     return (-2.0 * lam * math.log(2.0) + math.lgamma(2.0 * lam)
             - math.lgamma(lam + quarter_mh + 0.5)
             - math.lgamma(lam + quarter_mh + 0.5 * m))
@@ -263,7 +261,7 @@ _GAMMA_TERM_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=_GAMMA_TERM_CACHE_SIZE)
-def _gamma_term(lam4: int | float, scale: int, quarter: float, m: int) -> float:
+def _gamma_term(lam4: int, scale: int, quarter: float, m: int) -> float:
     """``_log_cprime`` at lambda_alpha = lam4 / scale: one root's log-Gamma
     term, from 4 <lam, alpha>, 4 |alpha|^2, m_half / 4 and m_alpha."""
     return _log_cprime(lam4 / scale, quarter, m)
@@ -273,8 +271,8 @@ def _gamma_term(lam4: int | float, scale: int, quarter: float, m: int) -> float:
 def _gamma_root_table(datum: SpaceDatum) -> tuple:
     """The roots ``c_gamma`` sums over, with everything that depends only on
     the datum: (entries, 4 * <rho, alpha>, 4 * |alpha|^2, m_half / 4, m,
-    the rho half of the log-Gamma difference).  Multiplicity-zero pattern
-    entries are dropped; the order is that of ``iter_root_support``."""
+    the rho half of the log-Gamma difference, orbit).  Multiplicity-zero
+    pattern entries are dropped; the order is that of ``iter_root_support``."""
     r4 = _rho4(datum)
     table = []
     for orbit, norm_sq, entries in iter_root_support(datum.psi):
@@ -284,7 +282,8 @@ def _gamma_root_table(datum: SpaceDatum) -> tuple:
         rho4 = sum(r4[i] * v for i, v in entries)
         scale = 4 * norm_sq
         quarter = mh / 4.0
-        table.append((entries, rho4, scale, quarter, m, _gamma_term(rho4, scale, quarter, m)))
+        table.append((entries, rho4, scale, quarter, m,
+                      _gamma_term(rho4, scale, quarter, m), orbit))
     return tuple(table)
 
 
@@ -292,20 +291,18 @@ def c_gamma(datum: SpaceDatum, lam) -> float:
     """Floating-point oracle for the normalized overlap constant.
 
     ``lam`` is the already-shifted spectral parameter (mu plus the half-sum
-    weight), as a Weight or f-coefficient vector with positive pairings on
-    every root.  Computed root by root through log-Gamma, so it shares no
-    code path with the exact product.
+    weight), as a Weight or f-coefficient vector of quarter-integers with
+    positive pairings on every root; other input raises ValueError.
+    Computed root by root through log-Gamma, so it shares no code path with
+    the exact product.
     """
     vec = _as_f_vector(datum, lam)
-    vec4: list = []
-    for c in vec:
-        den = c.denominator
-        if 4 % den:
-            vec4 = [4.0 * float(c) for c in vec]  # non-quarter input: float pairings
-            break
-        vec4.append(c.numerator * (4 // den))
+    for i, c in enumerate(vec):
+        if 4 % c.denominator:
+            raise ValueError(f"lambda coordinate f{i + 1} = {c} is not a quarter-integer")
+    vec4 = [c.numerator * (4 // c.denominator) for c in vec]
     total = 0.0
-    for entries, rho4, scale, quarter, m, rho_term in _gamma_root_table(datum):
+    for entries, rho4, scale, quarter, m, rho_term, orbit in _gamma_root_table(datum):
         if len(entries) == 1:
             i0, v0 = entries[0]
             lam4 = vec4[i0] * v0
@@ -314,6 +311,10 @@ def c_gamma(datum: SpaceDatum, lam) -> float:
             lam4 = vec4[i0] * v0 + vec4[i1] * v1
         if lam4 == rho4:
             continue
+        if lam4 <= 0:
+            root = RestrictedRoot(len(vec), entries, orbit)
+            raise ValueError(f"lambda must pair positively with every root: "
+                             f"pairing with {root!r} is {Fraction(lam4, scale)}")
         total += _gamma_term(lam4, scale, quarter, m) - rho_term
     return math.exp(total)
 

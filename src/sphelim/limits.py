@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .cfunc import _product_from, _row_factors, _row_pattern
+from .cfunc import _product_from, _root_terms, _rows
 from .rootdata import (
     FAMILIES,
     ORBIT_ALPHA1,
@@ -166,8 +166,9 @@ def _values_at(system: DirectSystem, levels: Iterable[int]) -> Iterator[tuple[Fr
     Infinite rank: the multiplicities agree from level to level and the
     weight's f-coefficients and rho only grow by new trailing entries, so a
     value is the one before it times the factors of the roots that reach
-    the new indices (the one-step overlap q(n+1, n)^2); the first level, or
-    one that fails that prefix test, is the whole product.
+    the new indices (the one-step overlap q(n+1, n)^2); the first level is
+    the whole product.  A level that does not extend the one below it
+    raises ArithmeticError; no catalog chain has one.
 
     Finite rank (p fixed, level q): only the half-root multiplicity
     m_half = d(q - p) moves with q (``rootdata.FAMILIES``), and 4 rho is
@@ -176,7 +177,7 @@ def _values_at(system: DirectSystem, levels: Iterable[int]) -> Iterator[tuple[Fr
     q, while mu_alpha depends only on the fixed weight.  For q >= p+1 the
     root set is fixed as well (at q = p the half roots, and on grass-real
     the single roots, have multiplicity zero).  So every root factor's
-    linear forms are affine in t = q - (p+1), and c(q) is one rational
+    terms are affine in t = q - (p+1), and c(q) is one rational
     function of q, which ``_grassmannian_table`` reads once per call; each
     level above p is evaluated from it, and since Fraction is canonical the
     value is the one ``c_value`` gives.  The level q = p is one whole
@@ -196,19 +197,20 @@ def _values_at(system: DirectSystem, levels: Iterable[int]) -> Iterator[tuple[Fr
             yield Fraction(const_num * math.prod(a * t + b for a, b in num),
                            const_den * math.prod(a * t + b for a, b in den)), None
         return
-    prev = None  # (datum, f-coefficients, 4 rho, value) of the last level
+    prev, value = None, Fraction(1)  # the rows and the value of the last level
     for level in levels:
         rows = datum, coeffs, r4 = _level_rows(system, level)
-        lo, value = 0, Fraction(1)
+        lo = 0
         if prev is not None:
-            p_datum, p_coeffs, p_r4, p_value = prev
-            n = len(p_coeffs)
-            if (_mults(p_datum) == _mults(datum) and coeffs[:n] == p_coeffs
-                    and r4[:n] == p_r4):
-                lo, value = n, p_value
+            p_datum, p_coeffs, p_r4 = prev
+            lo = len(p_coeffs)
+            if (_mults(p_datum) != _mults(datum) or coeffs[:lo] != p_coeffs
+                    or r4[:lo] != p_r4):
+                raise ArithmeticError(
+                    f"internal error: level {level} does not extend the level below it")
         value *= Fraction(*_product_from(datum, coeffs, lo))
         yield value, rows
-        prev = (*rows, value)
+        prev = rows
 
 
 def _grassmannian_table(system: DirectSystem) -> tuple[int, int, list, list]:
@@ -216,35 +218,31 @@ def _grassmannian_table(system: DirectSystem) -> tuple[int, int, list, list]:
     c(p+1+t) = C_n prod(a t + b) / (C_d prod(c t + d)) over the integer
     linear forms (a, b) in ``num`` and (c, d) in ``den``.
 
-    Each root factor's numbers (mu_alpha, 8 rho_alpha, 8 x_alpha, 8 y_alpha)
-    are read through ``_row_factors`` at q = p+1 and p+2, which fixes them
-    as affine functions of t (see ``_values_at``), and checked at q = p+3.
-    A root with slopes (dR, dX, dY) gives the forms of ``_root_factor``:
-    (2 dR) t + (2R + 8j) for j < 2 mu over (dR + dX) t + (R + X + 8j) and
-    (dR + dY) t + (R + Y + 8j) for j < mu, and the constant 4^mu in the
-    denominator.  Every form is divided by its content, the contents go
-    into C_n and C_d, and equal forms cancel.  Raises ArithmeticError if a
-    factor is not affine or a form could turn nonpositive at some t >= 0.
+    Each root factor's integer terms (``cfunc._root_terms``, the factors
+    listed by ``cfunc._rows``) are read at q = p+1, p+2 and p+3.  Every
+    term is affine in t (see ``_values_at``), so its values t1, t2 at
+    q = p+1, p+2 give the form (t2 - t1) t + t1, once t3 - t2 = t2 - t1 is
+    checked at q = p+3.  Every form is divided by its content, the contents
+    go into C_n and C_d, and equal forms cancel.  Raises ArithmeticError if
+    a factor is not affine or a form could turn nonpositive at some t >= 0.
     """
     p = system.fixed_p
     factors = []
     for q in (p + 1, p + 2, p + 3):
-        datum, coeffs, r4 = _level_rows(system, q)
-        pattern = _row_pattern(datum)
-        factors.append([(mu, rho8, x8, y8) for j in range(len(coeffs))
-                        for mu, rho8, (x8, y8) in _row_factors(datum, coeffs, r4, j, pattern)])
+        datum, coeffs, _ = _level_rows(system, q)
+        factors.append([_root_terms(mu, rho8, x8, y8, 8) for row in _rows(datum, coeffs, 0)
+                        for mu, rho8, (x8, y8) in row])
     if len({len(level) for level in factors}) != 1:
         raise ArithmeticError("internal error: the root set moves with q above q = p")
     num, den = [], []
     for first, second, third in zip(*factors):
-        mu, rho8, x8, y8 = first
-        step = [b - a for a, b in zip(first, second)]
-        if step[0] or [b - a for a, b in zip(second, third)] != step:
-            raise ArithmeticError("internal error: a root factor is not affine in q above q = p")
-        _, d_rho, d_x, d_y = step
-        num += [(2 * d_rho, 2 * rho8 + 8 * j) for j in range(2 * mu)]
-        den += [(d_rho + d_x, rho8 + x8 + 8 * j) for j in range(mu)]
-        den += [(d_rho + d_y, rho8 + y8 + 8 * j) for j in range(mu)] + [(0, 4 ** mu)]
+        for forms, t1, t2, t3 in zip((num, den), first, second, third):
+            slopes = [b - a for a, b in zip(t1, t2)]
+            if (not len(t1) == len(t2) == len(t3)
+                    or slopes != [c - b for b, c in zip(t2, t3)]):
+                raise ArithmeticError(
+                    "internal error: a root factor is not affine in q above q = p")
+            forms += zip(slopes, t1)
     const_num, num = _primitive_forms(num)
     const_den, den = _primitive_forms(den)
     common = num & den
@@ -256,7 +254,7 @@ def _grassmannian_table(system: DirectSystem) -> tuple[int, int, list, list]:
 def _primitive_forms(forms: Iterable[tuple[int, int]]) -> tuple[int, Counter]:
     """The product of the forms' contents, and the nonconstant forms divided
     by their content, counted; a constant form goes wholly into the content.
-    Every intercept is positive (``_row_factors`` checks rho), so a form
+    Every intercept is positive (``_rows`` checks rho), so a form
     stays positive for every t >= 0 unless its slope is negative."""
     content, out = 1, Counter()
     for a, b in forms:

@@ -364,6 +364,22 @@ class TestCGammaOracle:
             assert c_oracle(datum, coeffs) == want
             assert c_oracle(datum, weight_from_xi(datum, coeffs)) == want
 
+    def test_rejects_a_coordinate_that_is_not_a_quarter_integer(self):
+        datum = build_space("grass-complex", p=2, q=3)
+        lam = list(shifted_parameter(datum, (1, 1)))
+        lam[1] += Fraction(1, 3)
+        with pytest.raises(ValueError, match=r"coordinate f2 = \S+ is not a quarter-integer"):
+            c_gamma(datum, lam)
+
+    @pytest.mark.parametrize("datum, lam, message", [
+        (build_space("rank1-real", q=4), (-1,), r"RestrictedRoot\(2f1, alpha1_orbit\) is -1/2"),
+        (build_space("grass-complex", p=2, q=3), (3, 3), r"RestrictedRoot\(-f1\+f2, middle\) is 0"),
+    ], ids=["single-root", "pair-root"])
+    def test_rejects_a_nonpositive_pairing(self, datum, lam, message):
+        with pytest.raises(ValueError, match="pair positively with every root: pairing with "
+                                             + message):
+            c_gamma(datum, lam)
+
     def test_c_oracle_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="need 3 coefficients"):
             c_oracle(build_space("group-sp", n=3), (1, 1))
@@ -513,7 +529,7 @@ class TestClosedFormChains:
             assert value == XI1_CLOSED_FORMS[family](n), (family, n)
 
     @pytest.mark.parametrize("family", ["group-su", "su-over-so", "su-over-sp"])
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", range(1, 7))
     def test_type_a_chain_is_inverse_binomial(self, family, k):
         """At xi_k and rank r, c = 1/C(r+1, k), whatever the multiplicity."""
         seq = c_sequence(DirectSystem(family, (0,) * (k - 1) + (1,)), range(k, 120))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sphelim import __version__
+from sphelim import __version__, cli
 from sphelim.cli import fmt_float, fmt_fraction, main, to_jsonable
 from sphelim.rootdata import build_space, rho
 
@@ -174,6 +174,13 @@ class TestLimitScan:
             code, _, err = run_cli(capsys, "limit-scan", "--config", str(cfg))
             assert code == 2
             assert "unknown key" in err
+
+    def test_config_line_without_equals(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("family = rank1-real\n\n# comment\ncoeffs 1\n")
+        code, out, err = run_cli(capsys, "limit-scan", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == f"error: {cfg}:4: expected key=value\n"
 
     @pytest.mark.parametrize("line", ["coeffs = a,b", "coeffs = ,", "zero_floor = 1/0",
                                       "window = two", "rtol = x"])
@@ -339,6 +346,30 @@ class TestTopLevel:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("ok - ") >= 10
+
+    def test_self_check_reports_every_failure(self, capsys, monkeypatch):
+        ran = []
+
+        def check(name, error=None):
+            def run():
+                ran.append(name)
+                if error is not None:
+                    raise error
+            return name, run
+
+        monkeypatch.setattr(cli, "_self_checks", lambda: [
+            check("first"), check("broken", AssertionError("5/128 != 1/2")),
+            check("last"), check("also broken", ArithmeticError("overflow"))])
+        code, out, _ = run_cli(capsys, "--check")
+        assert code == 1
+        assert ran == ["first", "broken", "last", "also broken"]
+        assert out.splitlines() == [
+            "ok - first",
+            "FAIL - broken: AssertionError('5/128 != 1/2')",
+            "ok - last",
+            "FAIL - also broken: ArithmeticError('overflow')",
+            "self-check: FAIL (2 failures)",
+        ]
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

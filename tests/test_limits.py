@@ -39,6 +39,7 @@ from sphelim.rootdata import (
     positive_nonmultipliable_roots,
     rho,
 )
+from sphelim.sphere import zonal_eval
 
 INFINITE_FAMILIES = ("group-su", "group-spin-odd", "group-spin-even", "group-sp",
                      "su-over-so", "su-over-sp", "so-over-u-even", "so-over-u-odd",
@@ -161,6 +162,38 @@ class TestRankOneChain:
         assert not report.decided
         assert report.evidence["request"] == "more levels"
 
+    def test_values_are_leading_zonal_coefficients(self):
+        """The bridge to the zonal side: c(k xi_1) on the q-sphere is the
+        leading t-coefficient of R_2k over 4^k, with R run through the
+        three-term recurrence of ``sphere`` in Fractions.  Levels q >= 2
+        come from the Grassmannian table, which shares no code with this."""
+        cases = 0
+        for k in range(9):
+            seq = c_sequence(DirectSystem("rank1-real", (k,)), range(2, 41))
+            for q, value in zip(seq.levels, seq.values):
+                assert value == _zonal_coefficients(q, 2 * k)[-1] / 4 ** k, (q, k)
+                cases += 1
+        assert cases == 351
+        # the Fraction recurrence is the one sphere evaluates in floats
+        for n, k, t in ((2, 4, 0.3), (5, 6, -0.7), (40, 16, 0.9)):
+            poly = _zonal_coefficients(n, k)
+            assert math.fsum(float(c) * t ** d for d, c in enumerate(poly)) == pytest.approx(
+                zonal_eval(n, k, t), rel=1e-12, abs=1e-15)
+
+
+def _zonal_coefficients(n, k):
+    """t-coefficients of the degree-k zonal polynomial R_k on the n-sphere,
+    exactly: (i + n - 1) R_{i+1} = (2i + n - 1) t R_i - i R_{i-1}."""
+    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    if k == 0:
+        return prev
+    for i in range(1, k):
+        step = [Fraction(0)] + [(2 * i + n - 1) * c for c in cur]
+        for d, c in enumerate(prev):
+            step[d] -= i * c
+        prev, cur = cur, [c / (i + n - 1) for c in step]
+    return cur
+
 
 class TestInfiniteChains:
     def test_a_type_values_and_certificate(self):
@@ -209,6 +242,20 @@ class TestInfiniteChains:
             expected *= Fraction(j, j + 1)
         assert cert["partial_product"] == expected
         assert cert["last_value_below_partial"]
+
+    def test_fold_refuses_a_level_that_does_not_extend_the_one_below(self, monkeypatch):
+        # a middle multiplicity that grows with n changes the roots the fold
+        # has already multiplied in; every level is still a valid space, but
+        # the fold must raise rather than build on the level below
+        row = FAMILIES["group-sp"]
+        monkeypatch.setitem(FAMILIES, "group-sp",
+                            dataclasses.replace(row, mult_middle_of=lambda n: n))
+        system = DirectSystem("group-sp", (1,))
+        c_value(*propagate(system, 5))
+        with pytest.raises(ArithmeticError, match="internal error: level 2 does not extend"):
+            c_sequence(system, range(1, 6))
+        with pytest.raises(ArithmeticError, match="internal error: level 2 does not extend"):
+            classify_scan(system, 10)
 
     def test_floor_crossing_without_certificate_scan(self):
         # a single late level: too few witness rows for a certificate, but

@@ -101,6 +101,14 @@ class TestODE:
         assert isinstance(value, float)
         assert abs(value) < 1e-10
 
+    def test_method_is_the_module_function(self):
+        fn = ZonalFunction(7, 5)
+        assert np.array_equal(fn.ode_residual(GRID), ode_residual(7, 5, GRID))
+        assert fn.ode_residual(0.25) == ode_residual(7, 5, 0.25)
+        assert isinstance(fn.ode_residual(0.25), float)
+        with pytest.raises(ValueError, match=r"\|t\| <= 1"):
+            fn.ode_residual(1.5)
+
     def test_derivatives_consistent_with_finite_differences(self):
         fn = ZonalFunction(5, 6)
         t = np.linspace(-0.9, 0.9, 31)
