@@ -177,10 +177,16 @@ def c_value(datum: SpaceDatum, mu) -> Fraction:
         if coeffs is None:
             _reject(datum, mu.coeffs_f)
     else:
-        if len(mu) != datum.psi.rank:
-            raise ValueError(f"need {datum.psi.rank} coefficients, got {len(mu)}")
-        coeffs = _f_ints_from_xi(datum.psi, tuple(int(k) for k in mu))
+        coeffs = _xi_f_ints(datum, mu)
     return Fraction(*_product_from(datum, coeffs, 0))
+
+
+def _xi_f_ints(datum: SpaceDatum, mu) -> list[int]:
+    """Integer f-coefficients of the fundamental-weight combination mu,
+    after checking that mu has one coefficient per simple root."""
+    if len(mu) != datum.psi.rank:
+        raise ValueError(f"need {datum.psi.rank} coefficients, got {len(mu)}")
+    return _f_ints_from_xi(datum.psi, tuple(int(k) for k in mu))
 
 
 def _product_from(datum: SpaceDatum, coeffs: list[int], lo: int) -> tuple[int, int]:
@@ -300,7 +306,11 @@ def c_gamma(datum: SpaceDatum, lam) -> float:
     for i, c in enumerate(vec):
         if 4 % c.denominator:
             raise ValueError(f"lambda coordinate f{i + 1} = {c} is not a quarter-integer")
-    vec4 = [c.numerator * (4 // c.denominator) for c in vec]
+    return _gamma_sum(datum, [c.numerator * (4 // c.denominator) for c in vec])
+
+
+def _gamma_sum(datum: SpaceDatum, vec4: list[int]) -> float:
+    """``c_gamma`` from the integer f-coefficients of 4 lambda."""
     total = 0.0
     for entries, rho4, scale, quarter, m, rho_term, orbit in _gamma_root_table(datum):
         if len(entries) == 1:
@@ -312,7 +322,7 @@ def c_gamma(datum: SpaceDatum, lam) -> float:
         if lam4 == rho4:
             continue
         if lam4 <= 0:
-            root = RestrictedRoot(len(vec), entries, orbit)
+            root = RestrictedRoot(len(vec4), entries, orbit)
             raise ValueError(f"lambda must pair positively with every root: "
                              f"pairing with {root!r} is {Fraction(lam4, scale)}")
         total += _gamma_term(lam4, scale, quarter, m) - rho_term
@@ -322,10 +332,11 @@ def c_gamma(datum: SpaceDatum, lam) -> float:
 def c_oracle(datum: SpaceDatum, mu) -> float:
     """``c_gamma`` at mu + rho: the floating-point value that
     ``c_value(datum, mu)`` should match.  ``mu`` is a Weight or a sequence
-    of fundamental-weight coefficients, as for ``c_value``."""
-    if not isinstance(mu, Weight):
-        mu = weight_from_xi(datum, mu)
-    return c_gamma(datum, tuple(a + b for a, b in zip(mu.coeffs_f, rho(datum).coeffs_f)))
+    of fundamental-weight coefficients, as for ``c_value``; coefficients
+    are shifted in integers, as 4 lambda = 4 mu + 4 rho."""
+    if isinstance(mu, Weight):
+        return c_gamma(datum, tuple(a + b for a, b in zip(mu.coeffs_f, rho(datum).coeffs_f)))
+    return _gamma_sum(datum, [4 * a + r for a, r in zip(_xi_f_ints(datum, mu), _rho4(datum))])
 
 
 def overlap_highest_weight(datum: SpaceDatum, mu) -> float:

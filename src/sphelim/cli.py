@@ -135,11 +135,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_c_eval(args) -> int:
-    try:
-        datum = build_space(args.family, p=args.p, q=args.q, n=args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    datum = build_space(args.family, p=args.p, q=args.q, n=args.n)
     failures = 0
     for coeffs in args.mu:
         line = {
@@ -199,50 +195,34 @@ def _load_config(path: str) -> dict:
     return opts
 
 
-def _write_table(lines: list[str], path: str | None) -> bool:
-    """Write a CSV table to ``path``, or to stdout when no path is given.
-    Returns False, with the error on stderr, when the file cannot be written."""
+def _write_table(lines: list[str], path: str | None) -> None:
+    """Write a CSV table to ``path``, or to stdout when no path is given."""
     text = "\n".join(lines) + "\n"
-    if not path:
-        sys.stdout.write(text)
-        return True
-    try:
+    if path:
         Path(path).write_text(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_limit_scan(args) -> int:
     merged = {"max_level": 200}
     if args.config:
-        try:
-            merged.update(_load_config(args.config))
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        merged.update(_load_config(args.config))
     merged.update((key, flag) for key in _SCAN_KEYS
                   if (flag := getattr(args, key)) is not None)
     if "family" not in merged or "coeffs" not in merged:
-        print("error: limit-scan needs family and coeffs (flags or config)", file=sys.stderr)
-        return 2
-    try:
-        system = DirectSystem(merged["family"], merged["coeffs"], merged.get("p"))
-        # only the settings given are passed, so the defaults stay in one place
-        config = ClassifyConfig(**{f.name: merged[f.name] for f in fields(ClassifyConfig)
-                                   if f.name in merged})
-        batch = {"batch": merged["batch"]} if "batch" in merged else {}
-        seq, report = classify_scan(system, merged["max_level"], config, **batch)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("limit-scan needs family and coeffs (flags or config)")
+    system = DirectSystem(merged["family"], merged["coeffs"], merged.get("p"))
+    # only the settings given are passed, so the defaults stay in one place
+    config = ClassifyConfig(**{f.name: merged[f.name] for f in fields(ClassifyConfig)
+                               if f.name in merged})
+    batch = {"batch": merged["batch"]} if "batch" in merged else {}
+    seq, report = classify_scan(system, merged["max_level"], config, **batch)
     csv_lines = ["level,c_num,c_den,c_float"]
     for level, value in zip(seq.levels, seq.values):
         csv_lines.append(f"{level},{fmt_int(value.numerator)},{fmt_int(value.denominator)},"
                          f"{fmt_float(value)}")
-    if not _write_table(csv_lines, merged.get("csv")):
-        return 2
+    _write_table(csv_lines, merged.get("csv"))
     emit_json({
         "verdict": report.verdict,
         "limit_estimate": report.limit_estimate,
@@ -253,62 +233,45 @@ def cmd_limit_scan(args) -> int:
 
 def cmd_sphere_verify(args) -> int:
     n, k = args.n, args.k
-    try:
-        if args.grid < 1:
-            raise ValueError("grid must be at least 1")
-        grid = np.linspace(-1.0, 1.0, args.grid)
-        values = zonal_eval(n, k, grid)
-        residual = ode_residual(n, k, grid)
-        x = planar_rotation(n + 1, args.theta)
-        y = planar_rotation(n + 1, args.theta_y)
-        mc = mc_functional_equation(n, k, x, y, args.samples, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.grid < 1:
+        raise ValueError("grid must be at least 1")
+    grid = np.linspace(-1.0, 1.0, args.grid)
+    values = zonal_eval(n, k, grid)
+    residual = ode_residual(n, k, grid)
+    x = planar_rotation(n + 1, args.theta)
+    y = planar_rotation(n + 1, args.theta_y)
+    mc = mc_functional_equation(n, k, x, y, args.samples, args.seed)
     powers = grid ** k
     csv_lines = ["t,p,t_pow_k,residual"]
     for t, p, tk, res in zip(grid, values, powers, residual):
         csv_lines.append(f"{fmt_float(t)},{fmt_float(p)},{fmt_float(tk)},{fmt_float(res)}")
-    if not _write_table(csv_lines, args.csv):
-        return 2
+    _write_table(csv_lines, args.csv)
     emit_json({
         "n": n,
         "k": k,
         "max_abs_ode_residual": float(np.max(np.abs(residual))),
         "max_abs_power_gap": float(np.max(np.abs(powers - values))),
-        "mc": {
-            "estimate": mc.estimate,
-            "std_error": mc.std_error,
-            "target": mc.target,
-            "samples": mc.samples,
-            "zscore": mc.zscore(),
-        },
+        "mc": {**mc._asdict(), "zscore": mc.zscore()},
     })
     return 0
 
 
 def cmd_mc_check(args) -> int:
     n, k = args.n, args.k
-    try:
-        if not math.isfinite(args.max_z):
-            raise ValueError(f"max-z must be a finite number, got {args.max_z}")
-        if args.haar_xy:
-            x = haar_rotation(n + 1, 1, args.seed + 101)[0]
-            y = haar_rotation(n + 1, 1, args.seed + 202)[0]
-        else:
-            x = planar_rotation(n + 1, args.theta)
-            y = planar_rotation(n + 1, args.theta_y)
-        mc = mc_functional_equation(n, k, x, y, args.samples, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if not math.isfinite(args.max_z):
+        raise ValueError(f"max-z must be a finite number, got {args.max_z}")
+    if args.haar_xy:
+        x = haar_rotation(n + 1, 1, args.seed + 101)[0]
+        y = haar_rotation(n + 1, 1, args.seed + 202)[0]
+    else:
+        x = planar_rotation(n + 1, args.theta)
+        y = planar_rotation(n + 1, args.theta_y)
+    mc = mc_functional_equation(n, k, x, y, args.samples, args.seed)
     z = mc.zscore()
     ok = z <= args.max_z
     emit_json({
-        "n": n, "k": k, "samples": mc.samples,
-        "estimate": mc.estimate, "std_error": mc.std_error,
-        "target": mc.target, "zscore": z,
-        "max_z": args.max_z, "pass": ok,
+        **mc._asdict(), "n": n, "k": k,
+        "zscore": z, "max_z": args.max_z, "pass": ok,
     })
     return 0 if ok else 1
 
@@ -505,7 +468,13 @@ def main(argv=None) -> int:
     if getattr(args, "handler", None) is None:
         parser.print_help()
         return 2
-    return args.handler(args)
+    # the one exit for bad input: every handler raises before its first
+    # stdout write, so stdout stays empty
+    try:
+        return args.handler(args)
+    except (ValueError, ArithmeticError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -364,6 +364,23 @@ class TestCGammaOracle:
             assert c_oracle(datum, coeffs) == want
             assert c_oracle(datum, weight_from_xi(datum, coeffs)) == want
 
+    def test_c_oracle_shifts_in_integers_to_the_last_bit(self):
+        """On a seeded criterion-3 sample over types A, B, C and D,
+        c_oracle's integer shift 4 mu + 4 rho gives c_gamma at mu + rho bit
+        for bit, from coefficients and from a Weight."""
+        rng = random.Random("c-oracle-shift")
+        grid = oracle_grid_instances()
+        labels = set()
+        for _ in range(1500):
+            datum = rng.choice(grid)
+            coeffs = tuple(rng.randrange(5) for _ in range(datum.rank))
+            want = float.hex(c_gamma(datum, shifted_parameter(datum, coeffs)))
+            assert float.hex(c_oracle(datum, coeffs)) == want, (datum.family, datum.params,
+                                                                coeffs)
+            assert float.hex(c_oracle(datum, weight_from_xi(datum, coeffs))) == want
+            labels.add(datum.psi.label)
+        assert labels == {"A", "B", "C", "D"}
+
     def test_rejects_a_coordinate_that_is_not_a_quarter_integer(self):
         datum = build_space("grass-complex", p=2, q=3)
         lam = list(shifted_parameter(datum, (1, 1)))

@@ -320,6 +320,14 @@ class TestMCCheck:
         assert report["estimate"] == report["target"]
         assert report["std_error"] == 0.0 and report["zscore"] == 0.0
 
+    def test_full_turn_passes(self, capsys):
+        # y is the identity up to rounding: the samples agree to rounding
+        code, out, _ = run_cli(capsys, "mc-check", "--n", "3", "--k", "2",
+                               "--theta-y", "6.283185307179586")
+        assert code == 0
+        report = json.loads(out)
+        assert report["pass"] is True and report["zscore"] == 0.0
+
     @pytest.mark.parametrize("argv, message", [
         (["--n", "-3", "--k", "1", "--haar-xy"], "need dim >= 1"),
         (["--n", "3", "--k", "2", "--theta", "nan"], "not orthogonal"),
@@ -370,6 +378,21 @@ class TestTopLevel:
             "FAIL - also broken: ArithmeticError('overflow')",
             "self-check: FAIL (2 failures)",
         ]
+
+    @pytest.mark.parametrize("error", [ArithmeticError("overflow in the sampler"),
+                                       OSError("sampler state lost")],
+                             ids=["ArithmeticError", "OSError"])
+    @pytest.mark.parametrize("command", ["sphere-verify", "mc-check"])
+    def test_handler_error_exits_two(self, capsys, monkeypatch, command, error):
+        # main is the one exit for a handler's error, whatever the command
+        def sampler(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "mc_functional_equation", sampler)
+        code, out, err = run_cli(capsys, command, "--n", "3", "--k", "2",
+                                 "--samples", "200")
+        assert code == 2 and out == ""
+        assert err == f"error: {error}\n"
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -39,7 +39,7 @@ from sphelim.rootdata import (
     positive_nonmultipliable_roots,
     rho,
 )
-from sphelim.sphere import zonal_eval
+from sphelim.sphere import limit_zonal, planar_rotation, zonal_eval
 
 INFINITE_FAMILIES = ("group-su", "group-spin-odd", "group-spin-even", "group-sp",
                      "su-over-so", "su-over-sp", "so-over-u-even", "so-over-u-odd",
@@ -179,6 +179,28 @@ class TestRankOneChain:
             poly = _zonal_coefficients(n, k)
             assert math.fsum(float(c) * t ** d for d, c in enumerate(poly)) == pytest.approx(
                 zonal_eval(n, k, t), rel=1e-12, abs=1e-15)
+
+    def test_phi_infinity_is_the_limit_of_phi_n(self):
+        """The paper's phi_oo = lim phi_n in rank one, on the spheres S^q at
+        the rotation x by theta = 0.9: the zonal function R_2k^(q)(cos theta)
+        tends to limit_zonal(2k, x) = cos(theta)^2k, and the overlap constant
+        c(q) to its limit 4^-k, both at the rate 1/q; q (4^k c(q) - 1) tends
+        to k(2k - 1), the real p = 1 case of the Jacobi rate."""
+        theta = 0.9
+        x = planar_rotation(3, theta)
+        for k in range(6):
+            seq = c_sequence(DirectSystem("rank1-real", (k,)), (1000, 10000))
+            zonal_gaps = [abs(zonal_eval(q, 2 * k, math.cos(theta)) - limit_zonal(2 * k, x))
+                          for q in seq.levels]
+            overlap_gaps = [4 ** k * value - 1 for value in seq.values]
+            rate_gaps = [abs(q * gap - k * (2 * k - 1))
+                         for q, gap in zip(seq.levels, overlap_gaps)]
+            if k == 0:
+                assert zonal_gaps == [0.0, 0.0] and overlap_gaps == [0, 0]
+                continue
+            for near, far in (zonal_gaps, overlap_gaps, rate_gaps):
+                assert 8 * far <= near, k
+            assert overlap_gaps[1] > 0
 
 
 def _zonal_coefficients(n, k):
@@ -508,6 +530,50 @@ class TestGrassmannianTable:
         assert report.verdict == VERDICT_POSITIVE
         assert min(seq.values) >= limit
         assert c_sequence(system, [10 ** 6]).values[0] >= limit
+
+    def test_limit_is_approached_at_an_exact_one_over_q_rate(self):
+        """c(p+1+t) = L prod(1 + b/(a t)) / prod(1 + d/(c t)) over the
+        table's forms, so t (c - L) tends to A = L (sum b/a - sum d/c): in
+        exact Fractions, t (c - L) - A falls at least 50x from t = 10^6 to
+        10^8, and A > 0, so c comes down to L like A/t.  Only the zero weight
+        has an empty table (c = 1)."""
+        chains = 0
+        for system in TABLE_SYSTEMS:
+            _, _, num, den = limits._grassmannian_table(system)
+            if not num and not den:
+                continue
+            limit = _leading_ratio(system)
+            rate = limit * (sum(Fraction(b, a) for a, b in num)
+                            - sum(Fraction(d, c) for c, d in den))
+            assert rate > 0, system
+            ts = (10 ** 6, 10 ** 8)
+            values = c_sequence(system, [system.fixed_p + 1 + t for t in ts]).values
+            near, far = (t * (value - limit) - rate for t, value in zip(ts, values))
+            assert 50 * abs(far) <= abs(near), system
+            chains += 1
+        assert chains == sum(any(system.base_coeffs) for system in TABLE_SYSTEMS)
+
+    @pytest.mark.parametrize("family", FINITE_FAMILIES)
+    def test_rank_one_rate_is_the_jacobi_limit(self, family):
+        """At p = 1, L = 4^-k and q (c(q) - L) tends to 2k(k + b)/(d 4^k),
+        b = (m_2alpha - 1)/2: the q -> oo limit of the Jacobi closed form
+        (k+a+b+1)_k / (4^k (a+1)_k) of test_rank_one_jacobi_closed_form, where
+        a = d(q - 1)/2 + b grows like dq/2.  At k = 1 (and k = 0) the rate
+        is exact at every q."""
+        datum = build_space(family, p=1, q=2)
+        b = Fraction(datum.mult_alpha1 - 1, 2)
+        for k in range(8):
+            system = DirectSystem(family, (k,), fixed_p=1)
+            limit = Fraction(1, 4 ** k)
+            assert _leading_ratio(system) == limit
+            rate = 2 * k * (k + b) / (datum.d * 4 ** k)
+            levels = (10 ** 4, 10 ** 6)
+            near, far = (q * (value - limit) - rate
+                         for q, value in zip(levels, c_sequence(system, levels).values))
+            if k <= 1:
+                assert near == far == 0, k
+            else:
+                assert 50 * abs(far) <= abs(near), k
 
 
 class TestFiniteChains:

@@ -281,6 +281,10 @@ class TestMCResult:
         assert MCResult(1.0, 0.1, 1.2, 10).zscore() == pytest.approx(2.0)
         assert MCResult(1.0, 0.0, 1.0, 10).zscore() == 0.0
         assert MCResult(1.0, 0.0, 2.0, 10).zscore() == math.inf
+        # a gap of a few eps is rounding, however small the standard error
+        assert MCResult(0.5, 6.4e-19, 0.5 + 2 ** -52, 20000).zscore() == 0.0
+        assert MCResult(-0.25, 0.0, -0.25 - 2 ** -50, 20000).zscore() == 0.0
+        assert MCResult(0.5, 1e-19, 0.5 + 1e-12, 20000).zscore() > 4.0
 
 
 class TestFunctionalEquation:
@@ -315,6 +319,23 @@ class TestFunctionalEquation:
             result = mc_functional_equation(3, k, x, y, samples=5000, seed=k)
             assert result.estimate == result.target
             assert result.std_error == 0.0
+
+    def test_identity_up_to_rounding(self):
+        """A whole number of turns is the identity up to rounding: every
+        sample is then the same number up to rounding, and its std_error
+        lies far below the rounding gap between estimate and target."""
+        runs = 0
+        for n in (3, 9, 30):
+            for k in range(9):
+                for theta_y in (2 * math.pi, -2 * math.pi, 4 * math.pi):
+                    for theta_x in (0.9, 2 * math.pi):
+                        x = planar_rotation(n + 1, theta_x)
+                        y = planar_rotation(n + 1, theta_y)
+                        result = mc_functional_equation(n, k, x, y, samples=20000,
+                                                        seed=20240817)
+                        assert result.zscore() <= 4.0, (n, k, theta_x, theta_y, result)
+                        runs += 1
+        assert runs == 162
 
     def test_large_n(self):
         """Criterion 9's check at the dimensions of criterion 8: z <= 4 at
