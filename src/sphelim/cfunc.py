@@ -302,11 +302,20 @@ def c_gamma(datum: SpaceDatum, lam) -> float:
     Computed root by root through log-Gamma, so it shares no code path with
     the exact product.
     """
+    return _gamma_sum(datum, _quarter_ints(datum, lam))
+
+
+def _quarter_ints(datum: SpaceDatum, lam, shift4: tuple[int, ...] = ()) -> list[int]:
+    """Integer f-coefficients of 4 lambda = 4 lam + shift4 (no shift when
+    empty), for lam a Weight or f-coefficient vector of quarter-integers; a
+    coordinate that is not one is named by its value in lambda."""
     vec = _as_f_vector(datum, lam)
     for i, c in enumerate(vec):
         if 4 % c.denominator:
-            raise ValueError(f"lambda coordinate f{i + 1} = {c} is not a quarter-integer")
-    return _gamma_sum(datum, [c.numerator * (4 // c.denominator) for c in vec])
+            lam_i = c + Fraction(shift4[i], 4) if shift4 else c
+            raise ValueError(f"lambda coordinate f{i + 1} = {lam_i} is not a quarter-integer")
+    vec4 = [c.numerator * (4 // c.denominator) for c in vec]
+    return [a + r for a, r in zip(vec4, shift4)] if shift4 else vec4
 
 
 def _gamma_sum(datum: SpaceDatum, vec4: list[int]) -> float:
@@ -332,11 +341,12 @@ def _gamma_sum(datum: SpaceDatum, vec4: list[int]) -> float:
 def c_oracle(datum: SpaceDatum, mu) -> float:
     """``c_gamma`` at mu + rho: the floating-point value that
     ``c_value(datum, mu)`` should match.  ``mu`` is a Weight or a sequence
-    of fundamental-weight coefficients, as for ``c_value``; coefficients
-    are shifted in integers, as 4 lambda = 4 mu + 4 rho."""
+    of fundamental-weight coefficients, as for ``c_value``; either is
+    shifted in integers, as 4 lambda = 4 mu + 4 rho."""
+    r4 = _rho4(datum)
     if isinstance(mu, Weight):
-        return c_gamma(datum, tuple(a + b for a, b in zip(mu.coeffs_f, rho(datum).coeffs_f)))
-    return _gamma_sum(datum, [4 * a + r for a, r in zip(_xi_f_ints(datum, mu), _rho4(datum))])
+        return _gamma_sum(datum, _quarter_ints(datum, mu, r4))
+    return _gamma_sum(datum, [4 * a + r for a, r in zip(_xi_f_ints(datum, mu), r4)])
 
 
 def overlap_highest_weight(datum: SpaceDatum, mu) -> float:

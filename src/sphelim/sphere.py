@@ -214,9 +214,9 @@ class MCResult(NamedTuple):
         their rounding error is absolute, a few eps at most.  When x or y
         is the identity up to rounding (a full turn, say), every sample is
         the same number up to rounding, std_error falls far below eps, and
-        dividing would turn rounding into a failure.  Such runs (n in
-        {3, 9, 30}, k <= 30, one of x, y a full turn) showed gaps of at
-        most 1.4 eps; a sampling gap of that size is far below anything a
+        dividing would turn rounding into a failure.  Runs with x a full
+        turn, y at 0.4..3.0, k <= 30 and n <= 100 showed gaps of at most
+        1.4 eps; a sampling gap of that size is far below anything a
         z-score can resolve.
         """
         gap = abs(self.estimate - self.target)

@@ -1,10 +1,12 @@
 """Exact overlap-product evaluation: frozen values, an independent
 Gamma-function oracle, factor identities, and lattice rejection."""
 
+import functools
 import hashlib
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -321,6 +323,19 @@ def memo_free_c_gamma(datum, lam) -> float:
     return math.exp(total)
 
 
+@functools.cache
+def criterion3_sample() -> tuple:
+    """1,500 seeded (datum, coefficients) points of the criterion-3 grid."""
+    rng = random.Random("c-oracle-shift")
+    grid = oracle_grid_instances()
+    sample = []
+    for _ in range(1500):
+        datum = rng.choice(grid)
+        sample.append((datum, tuple(rng.randrange(5) for _ in range(datum.rank))))
+    assert {d.psi.label for d, _ in sample} == {"A", "B", "C", "D"}
+    return tuple(sample)
+
+
 class TestCGammaOracle:
     def test_memo_keeps_every_float(self):
         """On a seeded criterion-3 sample, c_gamma with a cold memo and again
@@ -358,28 +373,17 @@ class TestCGammaOracle:
 
     @pytest.mark.parametrize("datum", INSTANCES, ids=IDS)
     def test_c_oracle_is_c_gamma_at_the_shift(self, datum):
-        for coeffs in [(0,) * datum.rank, (1,) * datum.rank,
-                       tuple(range(1, datum.rank + 1))]:
-            want = c_gamma(datum, shifted_parameter(datum, coeffs))
-            assert c_oracle(datum, coeffs) == want
-            assert c_oracle(datum, weight_from_xi(datum, coeffs)) == want
-
-    def test_c_oracle_shifts_in_integers_to_the_last_bit(self):
-        """On a seeded criterion-3 sample over types A, B, C and D,
-        c_oracle's integer shift 4 mu + 4 rho gives c_gamma at mu + rho bit
-        for bit, from coefficients and from a Weight."""
-        rng = random.Random("c-oracle-shift")
-        grid = oracle_grid_instances()
-        labels = set()
-        for _ in range(1500):
-            datum = rng.choice(grid)
-            coeffs = tuple(rng.randrange(5) for _ in range(datum.rank))
-            want = float.hex(c_gamma(datum, shifted_parameter(datum, coeffs)))
-            assert float.hex(c_oracle(datum, coeffs)) == want, (datum.family, datum.params,
-                                                                coeffs)
-            assert float.hex(c_oracle(datum, weight_from_xi(datum, coeffs))) == want
-            labels.add(datum.psi.label)
-        assert labels == {"A", "B", "C", "D"}
+        """c_oracle's integer shift 4 mu + 4 rho gives c_gamma at mu + rho
+        bit for bit, from coefficients and from a Weight: at three fixed
+        weights of this instance and at the points of its family in a
+        seeded criterion-3 sample, which spans types A, B, C and D."""
+        sample = [(d, c) for d, c in criterion3_sample() if d.family == datum.family]
+        assert sample
+        fixed = [(0,) * datum.rank, (1,) * datum.rank, tuple(range(1, datum.rank + 1))]
+        for d, coeffs in [(datum, c) for c in fixed] + sample:
+            want = float.hex(c_gamma(d, shifted_parameter(d, coeffs)))
+            assert float.hex(c_oracle(d, coeffs)) == want, (d.family, d.params, coeffs)
+            assert float.hex(c_oracle(d, weight_from_xi(d, coeffs))) == want
 
     def test_rejects_a_coordinate_that_is_not_a_quarter_integer(self):
         datum = build_space("grass-complex", p=2, q=3)
@@ -387,6 +391,12 @@ class TestCGammaOracle:
         lam[1] += Fraction(1, 3)
         with pytest.raises(ValueError, match=r"coordinate f2 = \S+ is not a quarter-integer"):
             c_gamma(datum, lam)
+        # c_oracle on such a Weight names the same coordinate of mu + rho
+        mu = list(weight_from_xi(datum, (1, 1)).coeffs_f)
+        mu[1] += Fraction(1, 3)
+        message = f"coordinate f2 = {lam[1]} is not a quarter-integer"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            c_oracle(datum, Weight(tuple(mu)))
 
     @pytest.mark.parametrize("datum, lam, message", [
         (build_space("rank1-real", q=4), (-1,), r"RestrictedRoot\(2f1, alpha1_orbit\) is -1/2"),
@@ -398,8 +408,12 @@ class TestCGammaOracle:
             c_gamma(datum, lam)
 
     def test_c_oracle_rejects_wrong_length(self):
+        datum = build_space("group-sp", n=3)
         with pytest.raises(ValueError, match="need 3 coefficients"):
-            c_oracle(build_space("group-sp", n=3), (1, 1))
+            c_oracle(datum, (1, 1))
+        # a Weight with an extra f-coordinate is rejected, not truncated
+        with pytest.raises(ValueError, match="expected 3 f-coefficients, got 4"):
+            c_oracle(datum, Weight(weight_from_xi(datum, (1, 1, 1)).coeffs_f + (Fraction(0),)))
 
 
 class TestOverlaps:
