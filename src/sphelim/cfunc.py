@@ -145,7 +145,9 @@ def _root_terms(mu_a: int, rho_q: int, x_q: int, y_q: int, q: int) -> tuple[list
     x_alpha, y_alpha) for a scale q that makes all three integral: the
     factor is prod(num) / prod(den) in the telescoped form of ``c_factor``,
     with 2 rho + j for j < 2 mu over rho + x + j and rho + y + j for j < mu,
-    each scaled by q, and the constant 4^mu in the denominator."""
+    each scaled by q, and the constant 4^mu in the denominator.  A run of
+    pair roots (``_rows``) has the terms of one root: its product reduces to
+    the 2 mu terms of (rho)_mu / (rho + y)_mu that survive the run."""
     rx, ry = rho_q + x_q, rho_q + y_q
     return ([*range(2 * rho_q, 2 * rho_q + 2 * q * mu_a, q)],
             [*range(rx, rx + q * mu_a, q), *range(ry, ry + q * mu_a, q), 4 ** mu_a])
@@ -170,7 +172,10 @@ def c_value(datum: SpaceDatum, mu) -> Fraction:
     lexicographically first pattern root that fails integrality.  Pattern
     roots of total multiplicity zero contribute nothing.  Computed by
     ``_product_from`` at lo = 0, reduced after each f-index row as a chain
-    fold is after each level, so its pair is already in lowest terms.
+    fold is after each level, so its pair is already in lowest terms.  A
+    row costs one factor per run of equal f-coefficients below it
+    (``_rows``), so a weight with a few distinct coefficients costs O(rank)
+    factors, not one per root.
     """
     if isinstance(mu, Weight):
         coeffs = _integer_f_coeffs(datum, mu)
@@ -195,8 +200,9 @@ def _product_from(datum: SpaceDatum, coeffs: list[int], lo: int) -> tuple[int, i
     roots s*f_j and the pairs f_j -+ f_i (i < j) with j >= lo.
 
     One row per f-index j >= lo: ``_rows`` validates the row's roots and
-    lists its nontrivial factors, whose coprime pairs from the
-    ``_root_factor`` memo are multiplied as small integers; the row is
+    lists its nontrivial factors, one per root s*f_j and one per run of
+    pair roots, whose coprime pairs from the ``_root_factor`` memo are
+    multiplied as small integers; the row is
     reduced by one gcd and cancelled into the running pair by gcds, as
     Fraction multiplication does.  With lo = 0 this is the whole
     product; along a chain whose integer f-coefficients ``coeffs`` and rho
@@ -220,18 +226,35 @@ def _product_from(datum: SpaceDatum, coeffs: list[int], lo: int) -> tuple[int, i
 def _rows(datum: SpaceDatum, coeffs: list[int],
           lo: int) -> Iterator[list[tuple[int, int, tuple[int, int]]]]:
     """The nontrivial factors (mu_alpha, 8 rho_alpha, (8x, 8y)) of each
-    f-index row j >= lo, one list per row: the single root s*f_j, then the
-    pairs f_j - f_i and f_j + f_i (i < j) where they occur, from the
-    integer f-coefficients, 4 rho and the root pattern; an orbit of
-    multiplicity zero has no (8x, 8y), as its pattern entries are not roots.
+    f-index row j >= lo, one list per row: the single root s*f_j, then one
+    factor for each run [a, b) below j, a maximal range of indices i < j
+    with equal integer f-coefficients, standing for all its roots f_j - f_i,
+    and one for all its f_j + f_i where they occur.  An orbit of
+    multiplicity zero gives no factors, as its pattern entries are not roots.
+
+    A run telescopes.  The pair roots have no half roots, so x = 1/2 and
+    y = m/2, and Legendre duplication (2 rho)_{2 mu} = 4^mu (rho)_mu
+    (rho + 1/2)_mu makes a pair root's factor (rho)_mu / (rho + m/2)_mu.
+    Along a run mu_alpha is fixed, and 4 rho steps by 4m per index
+    (``_rho4``), so rho_alpha moves by m/2 from root to root and the run's
+    product is (rho)_mu / (rho + L m/2)_mu at the run's smallest rho_alpha,
+    for L = b - a: the factor of one pair root of multiplicity L m, which is
+    how the run is listed.  So a row has at most 2 (runs below j) + 1
+    factors, and its cost grows with its runs, not with j.
+
     Every root of a row is validated, as ``c_value`` rejects, before roots
-    of multiplicity zero or mu_alpha = 0 are skipped.
+    of multiplicity zero or mu_alpha = 0 are skipped: once per run, on
+    which the coefficient difference and sum are constant.  rho_alpha is
+    checked on each factor, which carries its run's smallest.
     """
     r4 = _rho4(datum)
     s, sums, pair_orbit = ROOT_PATTERNS[datum.psi.label]
     single, pair = ((2 * (mh + 2), 2 * (mh + 2 * m)) if m or mh else None
                     for m, mh in map(datum.mults_for, (ORBIT_ALPHA1, pair_orbit)))
-    for j in range(lo, len(coeffs)):
+    n = len(coeffs)
+    ends = [i for i in range(1, n) if coeffs[i] != coeffs[i - 1]]  # where runs end
+    ends.append(n)
+    for j in range(lo, n):
         mj, rj = coeffs[j], r4[j]
         row = []
         if s:  # root s*f_j
@@ -240,15 +263,23 @@ def _rows(datum: SpaceDatum, coeffs: list[int],
                 _reject(datum, coeffs)
             if mu_a and single:
                 row.append((mu_a, 2 * rj // s, single))
-        for i in range(j):  # roots f_j - f_i, and f_j + f_i where they occur
-            diff = mj - coeffs[i]
-            tot = mj + coeffs[i] if sums else 0
+        a = 0
+        for b in ends:  # the run [a, b) below j: roots f_j - f_i, f_j + f_i
+            if a >= j:
+                break
+            if b > j:
+                b = j
+            diff = mj - coeffs[a]
+            tot = mj + coeffs[a] if sums else 0
             if diff < 0 or diff & 1 or tot < 0:
                 _reject(datum, coeffs)
-            if diff and pair:
-                row.append((diff >> 1, rj - r4[i], pair))
-            if tot and pair:
-                row.append((tot >> 1, rj + r4[i], pair))
+            if pair:
+                run = (pair[0], pair[1] * (b - a))  # one root of multiplicity (b - a) m
+                if diff:  # rho_alpha is smallest at i = b - 1
+                    row.append((diff >> 1, rj - r4[b - 1], run))
+                if tot:  # and at i = a
+                    row.append((tot >> 1, rj + r4[a], run))
+            a = b
         for _, rho8, _ in row:
             if rho8 <= 0:
                 raise ArithmeticError("internal error: nonpositive rho pairing on a root")

@@ -167,8 +167,11 @@ def _values_at(system: DirectSystem, levels: Iterable[int]) -> Iterator[tuple[Fr
     weight's f-coefficients and rho only grow by new trailing entries, so a
     value is the one before it times the factors of the roots that reach
     the new indices (the one-step overlap q(n+1, n)^2); the first level is
-    the whole product.  A level that does not extend the one below it
-    raises ArithmeticError; no catalog chain has one.
+    the whole product.  The new row's pair roots come in runs of equal
+    f-coefficients (``cfunc._rows``), one factor per run, so a level past
+    the weight's support costs a fixed number of factors, not one per index
+    below it.  A level that does not extend the one below it raises
+    ArithmeticError; no catalog chain has one.
 
     Finite rank (p fixed, level q): only the half-root multiplicity
     m_half = d(q - p) moves with q (``rootdata.FAMILIES``), and 4 rho is
@@ -218,13 +221,15 @@ def _grassmannian_table(system: DirectSystem) -> tuple[int, int, list, list]:
     c(p+1+t) = C_n prod(a t + b) / (C_d prod(c t + d)) over the integer
     linear forms (a, b) in ``num`` and (c, d) in ``den``.
 
-    Each root factor's integer terms (``cfunc._root_terms``, the factors
-    listed by ``cfunc._rows``) are read at q = p+1, p+2 and p+3.  Every
-    term is affine in t (see ``_values_at``), so its values t1, t2 at
-    q = p+1, p+2 give the form (t2 - t1) t + t1, once t3 - t2 = t2 - t1 is
-    checked at q = p+3.  Every form is divided by its content, the contents
-    go into C_n and C_d, and equal forms cancel.  Raises ArithmeticError if
-    a factor is not affine or a form could turn nonpositive at some t >= 0.
+    Each factor's integer terms (``cfunc._root_terms`` of the factors that
+    ``cfunc._rows`` lists: one per root s*f_j and one per run of pair roots,
+    whose run lengths depend only on the fixed weight) are read at q = p+1,
+    p+2 and p+3.  Every term is affine in t (see ``_values_at``), so its
+    values t1, t2 at q = p+1, p+2 give the form (t2 - t1) t + t1, once
+    t3 - t2 = t2 - t1 is checked at q = p+3.  Every form is divided by its
+    content, the contents go into C_n and C_d, and equal forms cancel.
+    Raises ArithmeticError if a factor is not affine or a form could turn
+    nonpositive at some t >= 0.
     """
     p = system.fixed_p
     factors = []

@@ -142,6 +142,19 @@ class SpaceDatum:
         if self.mult_half and self.psi.label == "B":
             # would put roots at f_j/2, outside the integer lattice kept here
             raise ValueError("B-pattern data with half roots is not supported")
+        # Hashed once: the memos keyed on a datum hash it at every lookup.
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return (self.family, self.row, self.psi, self.params, self.mult_middle,
+                self.mult_alpha1, self.mult_half, self.d)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__, as string hashes differ between processes
+        return type(self), self._fields()
 
     @property
     def rank(self) -> int:

@@ -24,10 +24,13 @@ from helpers import (
 from sphelim.cfunc import (
     BigRational,
     CFactorParams,
+    _gamma_root_table,
     _gamma_term,
     _log_cprime,
     _product_from,
     _root_factor,
+    _root_terms,
+    _rows,
     c_factor,
     c_factor_reference,
     c_gamma,
@@ -39,9 +42,12 @@ from sphelim.cfunc import (
 )
 from sphelim.limits import DirectSystem, c_sequence
 from sphelim.rootdata import (
+    ROOT_PATTERNS,
     Weight,
     _f_ints_from_xi,
+    _rho4,
     build_space,
+    catalog_rows,
     iter_root_support,
     lambda_alpha,
     pad_xi_coeffs,
@@ -190,16 +196,18 @@ class TestRootFactorMemo:
         assert cases == 7 * 24 * 6 * 7
 
     def test_memos_stay_bounded_over_the_criterion_3_sweep(self):
-        """Both per-root memos hold the whole criterion-3 working set: they
+        """Both per-root memos, and the per-datum memos of 4 rho and of the
+        oracle's root table, hold the whole criterion-3 working set: they
         stay within their bounds and never evict, so each key is computed
         once."""
-        _root_factor.cache_clear()
-        _gamma_term.cache_clear()
+        memos = (_root_factor, _gamma_term, _rho4, _gamma_root_table)
+        for memo in memos:
+            memo.cache_clear()
         for datum in oracle_grid_instances():
             for coeffs in itertools.product(range(5), repeat=datum.rank):
                 c_value(datum, coeffs)
                 c_oracle(datum, coeffs)
-        for memo in (_root_factor, _gamma_term):
+        for memo in memos:
             info = memo.cache_info()
             assert 0 < info.currsize <= info.maxsize
             assert info.misses == info.currsize and info.hits > info.misses
@@ -539,6 +547,82 @@ class TestOneReductionSchedule:
         assert value == fold.values[-1]
 
 
+def _run_cases(seed: str) -> list:
+    """(datum, f-coefficients) over all thirteen catalog rows at ranks up to
+    40, with mostly-zero fundamental-weight coefficients, so that the
+    f-coefficients have long runs; plus D-fork weights, where f_1 < f_2."""
+    rng = random.Random(seed)
+    cases = []
+    for rank in (1, 2, 4, rng.randint(5, 12), rng.randint(13, 25), rng.randint(26, 40)):
+        for datum in instances_at_rank(rank, q_offset=rng.randint(0, 3)):
+            xi = [rng.choice((1, 2)) if rng.random() < 0.2 else 0 for _ in range(rank)]
+            if datum.psi.label == "D":
+                xi[:2] = 0, rng.randint(1, 3)
+            cases.append((datum, _f_ints_from_xi(datum.psi, xi), xi))
+    return cases
+
+
+RUN_CASES = _run_cases("runs")
+
+
+class TestRunTelescoping:
+    """A run of equal f-coefficients below a row is one factor (``_rows``):
+    the identity behind it, the product it gives, and the factor count."""
+
+    def test_pair_root_factor_is_a_pochhammer_ratio(self):
+        """With x = 1/2 and y = m/2, as on every pair orbit, the 4 mu + 1
+        terms of ``_root_terms`` reduce to (rho)_mu / (rho + m/2)_mu, so a
+        run of L pair roots, rho moving by m/2 per root, telescopes to one
+        such factor of multiplicity L m at the run's smallest rho."""
+        data = [build_space(row.slug, p=1, q=2) if row.param_kind == "pq"
+                else build_space(row.slug, n=max(row.min_n, 2)) for row in catalog_rows()]
+        pair_mults = sorted({d.mults_for(ROOT_PATTERNS[d.psi.label].pair_orbit)[0]
+                             for d in data})
+        assert pair_mults == [1, 2, 4]
+        for m, mu, rho8 in itertools.product(pair_mults, range(6), range(1, 41)):
+            num, den = _root_terms(mu, rho8, 4, 4 * m, 8)
+            assert len(num) + len(den) == 4 * mu + 1
+            r = Fraction(rho8, 8)
+            want = pochhammer(r, mu) / pochhammer(r + Fraction(m, 2), mu)
+            assert Fraction(math.prod(num), math.prod(den)) == want, (m, mu, rho8)
+            for length in range(1, 5):  # the run [0, length) below a row
+                run = math.prod((pochhammer(r + Fraction(m * i, 2), mu) for i in range(length)),
+                                start=Fraction(1))
+                run /= math.prod(pochhammer(r + Fraction(m * (i + 1), 2), mu)
+                                 for i in range(length))
+                assert Fraction(*_root_factor(mu, rho8, 4, 4 * m * length, 8)) == run
+
+    def test_covers_every_row_and_the_d_fork(self):
+        assert {d.family for d, _, _ in RUN_CASES} == {row.slug for row in catalog_rows()}
+        fork = [coeffs for d, coeffs, _ in RUN_CASES if d.psi.label == "D"]
+        assert fork and all(coeffs[0] < coeffs[1] for coeffs in fork)
+        assert max(d.rank for d, _, _ in RUN_CASES) > 25
+
+    @pytest.mark.parametrize("index", range(len(RUN_CASES)))
+    def test_product_from_is_the_literal_product(self, index):
+        """``_product_from(datum, coeffs, lo)`` is the displayed product over
+        the roots whose largest f-index is at least lo."""
+        datum, coeffs, xi = RUN_CASES[index]
+        mu = weight_from_xi(datum, xi)
+        factors = [(root.entries[-1][0],
+                    c_factor_reference(CFactorParams.from_root(datum, mu, root)))
+                   for root in positive_nonmultipliable_roots(datum)
+                   if datum.mults_for(root.orbit) != (0, 0)]
+        n = len(coeffs)
+        for lo in sorted({0, n // 2, n - 1, n}):
+            want = math.prod((f for top, f in factors if top >= lo), start=Fraction(1))
+            assert Fraction(*_product_from(datum, coeffs, lo)) == want, (xi, lo)
+
+    def test_a_row_has_at_most_two_factors_per_run_and_one(self):
+        longest = 0
+        for datum, coeffs, _ in RUN_CASES:
+            for j, row in enumerate(_rows(datum, coeffs, 0)):
+                runs = sum(1 for _ in itertools.groupby(coeffs[:j]))
+                assert len(row) <= 2 * runs + 1, (datum.family, coeffs, j)
+                longest = max(longest, j - runs)
+        assert longest > 20  # some row spans runs far longer than one index
+
+
 XI1_CLOSED_FORMS = {
     "group-sp": lambda n: Fraction(n + 2, math.comb(2 * n + 2, n + 1)),  # 1/Catalan(n+1)
     "so-over-u-even": lambda n: Fraction(1, math.comb(2 * n, n)),
@@ -558,6 +642,16 @@ class TestClosedFormChains:
         assert seq.levels == tuple(range(1, 301))
         for n, value in zip(seq.levels, seq.values):
             assert value == XI1_CLOSED_FORMS[family](n), (family, n)
+
+    def test_closed_forms_at_rank_ten_thousand(self):
+        """One-shot values at n = 10^4, where a row's roots form a few runs."""
+        n = 10 ** 4
+        for family, xi, want in (
+                ("group-sp", (1,), XI1_CLOSED_FORMS["group-sp"](n)),
+                ("so-over-u-even", (1,), XI1_CLOSED_FORMS["so-over-u-even"](n)),
+                ("group-su", (0, 0, 1), Fraction(1, math.comb(n, 3)))):
+            datum = build_space(family, n=n)
+            assert c_value(datum, pad_xi_coeffs(xi, datum.rank)) == want, family
 
     @pytest.mark.parametrize("family", ["group-su", "su-over-so", "su-over-sp"])
     @pytest.mark.parametrize("k", range(1, 7))

@@ -516,6 +516,12 @@ class TestGrassmannianTable:
             c_sequence(system, range(6, top + 1))
             sizes.append(_root_factor.cache_info().currsize)
         assert sizes[0] == sizes[1]
+        # an infinite-rank fold makes new run keys at every level, about four
+        # per level here; past its bound the memo evicts and keeps its size
+        _root_factor.cache_clear()
+        c_sequence(DirectSystem("group-sp", (0, 1, 0, 2)), range(4, 1201))
+        info = _root_factor.cache_info()
+        assert info.misses > info.maxsize == info.currsize
 
     @pytest.mark.parametrize("system, limit", [
         *((DirectSystem("rank1-real", (k,)), Fraction(1, 4 ** k)) for k in range(1, 6)),

@@ -1,6 +1,8 @@
 """Catalog and root-pattern invariants: duality, half-sums, the dominant
 spherical lattice, and constructor validation."""
 
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from sphelim.rootdata import (
     RootSystemType,
     SpaceDatum,
     Weight,
+    _rho4,
     build_space,
     catalog_rows,
     fundamental_weights,
@@ -117,6 +120,24 @@ class TestCatalog:
         assert datum.mults_for(ORBIT_MIDDLE) == (4, 0)
         assert datum.a == Fraction(2 * 3 + 8, 4)
         assert datum.b == Fraction(4, 2)
+
+    def test_equal_data_hash_equal_and_memos_hit(self):
+        """The hash is taken once per datum, over every field, so data built
+        apart hash equal, a pickle carries the fields and not the hash
+        (string hashes differ between processes), and the memos keyed on a
+        datum hit for an equal one built later."""
+        first, second = build_space("grass-complex", p=2, q=5), build_space("grass-complex", p=2, q=5)
+        assert first is not second and first == second and hash(first) == hash(second)
+        assert first._fields() == tuple(getattr(first, f.name)
+                                        for f in dataclasses.fields(SpaceDatum))
+        pickled = pickle.dumps(first)
+        assert b"_hash" not in pickled and pickle.loads(pickled) == first
+        moved = dataclasses.replace(first, mult_half=8)
+        assert moved != first and hash(moved) == hash(dataclasses.replace(second, mult_half=8))
+        for memo in (_rho4, rho):
+            memo.cache_clear()
+            assert memo(first) is memo(second)
+            assert memo.cache_info()[:2] == (1, 1)  # (hits, misses)
 
     def test_rank1_real_alias_matches_grass_real(self):
         alias = build_space("rank1-real", q=6)
