@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .rootdata import (
     ORBIT_ALPHA1,
@@ -171,9 +171,9 @@ def c_value(datum: SpaceDatum, mu) -> Fraction:
     Rejects weights outside the spherical dominant lattice, naming the
     lexicographically first pattern root that fails integrality.  Pattern
     roots of total multiplicity zero contribute nothing.  Computed by
-    ``_product_from`` at lo = 0, reduced after each f-index row as a chain
-    fold is after each level, so its pair is already in lowest terms.  A
-    row costs one factor per run of equal f-coefficients below it
+    ``_product`` over ``_rows`` at lo = 0, reduced after each f-index row as
+    a chain fold is after each level, so its pair is already in lowest
+    terms.  A row costs one factor per run of equal f-coefficients below it
     (``_rows``), so a weight with a few distinct coefficients costs O(rank)
     factors, not one per root.
     """
@@ -183,7 +183,7 @@ def c_value(datum: SpaceDatum, mu) -> Fraction:
             _reject(datum, mu.coeffs_f)
     else:
         coeffs = _xi_f_ints(datum, mu)
-    return Fraction(*_product_from(datum, coeffs, 0))
+    return Fraction(*_product(_rows(datum, coeffs, 0)))
 
 
 def _xi_f_ints(datum: SpaceDatum, mu) -> list[int]:
@@ -194,23 +194,20 @@ def _xi_f_ints(datum: SpaceDatum, mu) -> list[int]:
     return _f_ints_from_xi(datum.psi, tuple(int(k) for k in mu))
 
 
-def _product_from(datum: SpaceDatum, coeffs: list[int], lo: int) -> tuple[int, int]:
-    """Reduced integer numerator/denominator of the overlap product over
-    the pattern roots whose largest f-index is at least ``lo``: the single
-    roots s*f_j and the pairs f_j -+ f_i (i < j) with j >= lo.
-
-    One row per f-index j >= lo: ``_rows`` validates the row's roots and
-    lists its nontrivial factors, one per root s*f_j and one per run of
-    pair roots, whose coprime pairs from the ``_root_factor`` memo are
-    multiplied as small integers; the row is
-    reduced by one gcd and cancelled into the running pair by gcds, as
-    Fraction multiplication does.  With lo = 0 this is the whole
-    product; along a chain whose integer f-coefficients ``coeffs`` and rho
-    extend those of a lower level of ambient dimension lo, it is
-    c(this level) / c(lower level).  Rejects like ``c_value``.
-    """
+def _product(rows: Iterable[list[tuple[int, int, tuple[int, int]]]]) -> tuple[int, int]:
+    """Reduced integer numerator/denominator of the product of the rows'
+    factors (``_walk_rows``): each factor's coprime pair from the
+    ``_root_factor`` memo is multiplied in as small integers, and each row
+    is reduced by one gcd and cancelled into the running pair by gcds, as
+    Fraction multiplication does.  Over ``_rows(datum, coeffs, lo)`` this
+    is the overlap product over the pattern roots whose largest f-index is
+    at least ``lo``: the single roots s*f_j and the pairs f_j -+ f_i
+    (i < j) with j >= lo.  With lo = 0 it is the whole product; along a
+    chain whose integer f-coefficients ``coeffs`` and rho extend those of a
+    lower level of ambient dimension lo, it is c(this level) / c(lower
+    level).  Rejects like ``c_value``."""
     num = den = 1
-    for row in _rows(datum, coeffs, lo):
+    for row in rows:
         rn = rd = 1
         for mu_a, rho8, (x8, y8) in row:
             fn, fd = _root_factor(mu_a, rho8, x8, y8, 8)
@@ -225,12 +222,35 @@ def _product_from(datum: SpaceDatum, coeffs: list[int], lo: int) -> tuple[int, i
 
 def _rows(datum: SpaceDatum, coeffs: list[int],
           lo: int) -> Iterator[list[tuple[int, int, tuple[int, int]]]]:
+    """The factors of each f-index row j >= lo (``_walk_rows``) of one
+    weight, with 4 rho (``_rho4``) and the run ends (``_run_ends``) computed
+    here, once.  A chain fold keeps both and extends them from level to
+    level (``limits._chain_rows``), so it calls the walker itself."""
+    return _walk_rows(datum, coeffs, _rho4(datum), _run_ends(coeffs), lo)
+
+
+def _run_ends(coeffs: Sequence[int]) -> list[int]:
+    """Where the maximal runs of equal entries of ``coeffs`` end: every i
+    with coeffs[i] != coeffs[i-1], in order, then len(coeffs)."""
+    ends = [i for i in range(1, len(coeffs)) if coeffs[i] != coeffs[i - 1]]
+    ends.append(len(coeffs))
+    return ends
+
+
+def _walk_rows(datum: SpaceDatum, coeffs: Sequence[int], r4: Sequence[int],
+               ends: Sequence[int], lo: int) -> Iterator[list[tuple[int, int, tuple[int, int]]]]:
     """The nontrivial factors (mu_alpha, 8 rho_alpha, (8x, 8y)) of each
     f-index row j >= lo, one list per row: the single root s*f_j, then one
     factor for each run [a, b) below j, a maximal range of indices i < j
     with equal integer f-coefficients, standing for all its roots f_j - f_i,
     and one for all its f_j + f_i where they occur.  An orbit of
     multiplicity zero gives no factors, as its pattern entries are not roots.
+
+    ``r4`` is 4 rho (``_rho4``) and ``ends`` the run ends of ``coeffs``
+    (``_run_ends``), both from the caller: ``_rows`` computes them for one
+    weight, and a chain fold extends them in place from the level below
+    (``limits._chain_rows``).  The walk is lazy and reads len(coeffs) at
+    its start, so the caller finishes it before it extends the lists.
 
     A run telescopes.  The pair roots have no half roots, so x = 1/2 and
     y = m/2, and Legendre duplication (2 rho)_{2 mu} = 4^mu (rho)_mu
@@ -247,14 +267,10 @@ def _rows(datum: SpaceDatum, coeffs: list[int],
     which the coefficient difference and sum are constant.  rho_alpha is
     checked on each factor, which carries its run's smallest.
     """
-    r4 = _rho4(datum)
     s, sums, pair_orbit = ROOT_PATTERNS[datum.psi.label]
     single, pair = ((2 * (mh + 2), 2 * (mh + 2 * m)) if m or mh else None
                     for m, mh in map(datum.mults_for, (ORBIT_ALPHA1, pair_orbit)))
-    n = len(coeffs)
-    ends = [i for i in range(1, n) if coeffs[i] != coeffs[i - 1]]  # where runs end
-    ends.append(n)
-    for j in range(lo, n):
+    for j in range(lo, len(coeffs)):
         mj, rj = coeffs[j], r4[j]
         row = []
         if s:  # root s*f_j

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .cfunc import _product_from, _root_terms, _rows
+from .cfunc import _product, _root_terms, _rows, _run_ends, _walk_rows
 from .rootdata import (
     FAMILIES,
     ORBIT_ALPHA1,
@@ -29,6 +29,7 @@ from .rootdata import (
     Weight,
     _f_ints_from_xi,
     _rho4,
+    _rho4_from,
     build_space,
     pad_xi_coeffs,
     weight_from_xi,
@@ -135,6 +136,48 @@ def _level_rows(system: DirectSystem, level: int) -> tuple[SpaceDatum, list[int]
 _mults = operator.attrgetter("mult_middle", "mult_alpha1", "mult_half")
 
 
+def _chain_rows(system: DirectSystem, levels: Iterable[int],
+                ) -> Iterator[tuple[SpaceDatum, list[int], list[int], list[int], int]]:
+    """The rows of an infinite-rank chain at ascending levels, as one
+    growing state: (datum, f-coefficients, 4 rho, run ends, lo), where lo is
+    the ambient dimension of the level before (0 at the first level) and the
+    run ends are ``cfunc._run_ends`` of the coefficients.
+
+    The first level comes from ``_level_rows``.  Every later level extends
+    the lists in place, at a cost of O(1) plus its new indices: its datum is
+    built, its multiplicities are compared with the level below, and its
+    new entries are appended.  That comparison is the complete guard.  The
+    family fixes the root-system label, so with the multiplicities equal
+    ``_rho4_from`` gives every entry below lo as the level below had it,
+    2(2j m_pair + single), and lists the new ones.  The f-coefficients are
+    the running sum of ``_f_ints_from_xi`` over the xi-coefficients, whose
+    offset from the f-indices the label fixes, so the base coefficients fix
+    every old entry; the padded ones are 0, so each new entry equals the
+    last one.  So the last run grows to the new
+    ambient dimension, and no other run end moves.  A level whose
+    multiplicities differ, or one below the level before, raises
+    ArithmeticError; no catalog chain has one.
+
+    The lists are shared and keep growing: a consumer reads a level before
+    it asks for the next one, and copies nothing.
+    """
+    mults = coeffs = r4 = ends = None
+    for level in levels:
+        if coeffs is None:
+            datum, coeffs, r4 = _level_rows(system, level)
+            mults, r4, ends, lo = _mults(datum), list(r4), _run_ends(coeffs), 0
+        else:
+            datum = datum_at_level(system, level)
+            lo, n = len(coeffs), datum.psi.ambient_dim
+            if _mults(datum) != mults or n < lo:
+                raise ArithmeticError(
+                    f"internal error: level {level} does not extend the level below it")
+            coeffs += [coeffs[-1]] * (n - lo)
+            r4 += _rho4_from(datum, lo)
+            ends[-1] = n
+        yield datum, coeffs, r4, ends, lo
+
+
 @dataclass(frozen=True)
 class CSequence:
     """Overlap constants along a chain, exact and sorted by level."""
@@ -159,18 +202,22 @@ class CSequence:
 
 def _values_at(system: DirectSystem, levels: Iterable[int]) -> Iterator[tuple[Fraction, tuple | None]]:
     """Exact values at ascending levels, yielded one at a time, each with
-    the rows it was computed from (``_level_rows`` at that level) on an
+    the rows it was computed from, (datum, f-coefficients, 4 rho), on an
     infinite-rank chain and None on a finite-rank one, where no certificate
-    reads them.
+    reads them.  The rows' lists are shared with the fold and grow with
+    the next level, so a consumer reads them before it asks for the next
+    value.
 
-    Infinite rank: the multiplicities agree from level to level and the
-    weight's f-coefficients and rho only grow by new trailing entries, so a
-    value is the one before it times the factors of the roots that reach
-    the new indices (the one-step overlap q(n+1, n)^2); the first level is
-    the whole product.  The new row's pair roots come in runs of equal
-    f-coefficients (``cfunc._rows``), one factor per run, so a level past
-    the weight's support costs a fixed number of factors, not one per index
-    below it.  A level that does not extend the one below it raises
+    Infinite rank: a level extends the one below it in place
+    (``_chain_rows``).  The multiplicities agree from level to level, and
+    the weight's f-coefficients, 4 rho and run ends only grow by new
+    trailing entries, so a value is the one before it times the factors of
+    the roots that reach the new indices (the one-step overlap
+    q(n+1, n)^2), which ``cfunc._walk_rows`` lists from the shared rows;
+    the first level is the whole product.  The new row's pair roots come
+    in runs of equal f-coefficients, one factor per run, so a level costs
+    O(its new indices + runs), not O(rank).  The comparison of the
+    multiplicities is the complete guard: a level that fails it raises
     ArithmeticError; no catalog chain has one.
 
     Finite rank (p fixed, level q): only the half-root multiplicity
@@ -191,7 +238,7 @@ def _values_at(system: DirectSystem, levels: Iterable[int]) -> Iterator[tuple[Fr
         for level in levels:
             if level <= p:  # q = p; _level_rows rejects a level below it
                 datum, coeffs, _ = _level_rows(system, level)
-                yield Fraction(*_product_from(datum, coeffs, 0)), None
+                yield Fraction(*_product(_rows(datum, coeffs, 0))), None
                 continue
             if table is None:
                 table = _grassmannian_table(system)
@@ -200,20 +247,10 @@ def _values_at(system: DirectSystem, levels: Iterable[int]) -> Iterator[tuple[Fr
             yield Fraction(const_num * math.prod(a * t + b for a, b in num),
                            const_den * math.prod(a * t + b for a, b in den)), None
         return
-    prev, value = None, Fraction(1)  # the rows and the value of the last level
-    for level in levels:
-        rows = datum, coeffs, r4 = _level_rows(system, level)
-        lo = 0
-        if prev is not None:
-            p_datum, p_coeffs, p_r4 = prev
-            lo = len(p_coeffs)
-            if (_mults(p_datum) != _mults(datum) or coeffs[:lo] != p_coeffs
-                    or r4[:lo] != p_r4):
-                raise ArithmeticError(
-                    f"internal error: level {level} does not extend the level below it")
-        value *= Fraction(*_product_from(datum, coeffs, lo))
-        yield value, rows
-        prev = rows
+    value = Fraction(1)
+    for datum, coeffs, r4, ends, lo in _chain_rows(system, levels):
+        value *= Fraction(*_product(_walk_rows(datum, coeffs, r4, ends, lo)))
+        yield value, (datum, coeffs, r4)
 
 
 def _grassmannian_table(system: DirectSystem) -> tuple[int, int, list, list]:
@@ -347,15 +384,21 @@ def infinite_rank_root_sequence(psi_type, level: int, base_coeff_index: int = 1)
     floor = max(k, _WITNESS_FLOOR[label])
     if n < floor:
         raise ValueError(f"{label} witness needs level >= {floor}")
+    entries, orbit = _witness_root(label, n, k)
+    return RestrictedRoot(n + 1 if label == "A" else n, entries, orbit)
+
+
+def _witness_root(label: str, n: int, k: int) -> tuple[tuple[tuple[int, int], ...], str]:
+    """The entries and orbit of ``infinite_rank_root_sequence``, unchecked."""
     if label == "A":
-        return RestrictedRoot(n + 1, ((0, -1), (n, 1)), ORBIT_ALPHA1)
+        return ((0, -1), (n, 1)), ORBIT_ALPHA1
     if label == "B":
         if k == 1:
-            return RestrictedRoot(n, ((n - 1, 1),), ORBIT_ALPHA1)
-        return RestrictedRoot(n, ((0, -1), (n - 1, 1)), ORBIT_MIDDLE)
+            return ((n - 1, 1),), ORBIT_ALPHA1
+        return ((0, -1), (n - 1, 1)), ORBIT_MIDDLE
     if label == "C":
-        return RestrictedRoot(n, ((0, 1), (n - 1, 1)), ORBIT_MIDDLE)
-    return RestrictedRoot(n, ((1, 1), (n - 1, 1)), ORBIT_ALPHA1)
+        return ((0, 1), (n - 1, 1)), ORBIT_MIDDLE
+    return ((1, 1), (n - 1, 1)), ORBIT_ALPHA1
 
 
 def _witness(system: DirectSystem) -> tuple[str, int, int] | None:
@@ -371,21 +414,25 @@ def _witness(system: DirectSystem) -> tuple[str, int, int] | None:
 
 
 def _witness_pairing(witness: tuple[str, int, int], level: int,
-                     rows: tuple[SpaceDatum, list[int], tuple[int, ...]],
+                     rows: tuple[SpaceDatum, Sequence[int], Sequence[int]],
                      ) -> tuple[int, int, int] | None:
     """The per-level step of the certificate: one witness level's rows
-    (``_level_rows``) reduced to the integers n, R = <4 rho, alpha> =
-    4|alpha|^2 rho_alpha and K = 2m|alpha|^2 = 4|alpha|^2 y_alpha.  None
+    (datum, f-coefficients, 4 rho) reduced, through the entries of its
+    witness root (``infinite_rank_root_sequence``), to the integers n,
+    R = <4 rho, alpha> = 4|alpha|^2 rho_alpha and K = 2m|alpha|^2 =
+    4|alpha|^2 y_alpha.  None
     where the level cannot serve: a half root, no witness root, or
     mu_alpha < 1."""
     label, k0, _ = witness
     datum, coeffs, r4 = rows
-    root = infinite_rank_root_sequence(label, level, k0)
-    m, mh = datum.mults_for(root.orbit)
-    norm_sq = root.norm_sq()
-    if mh != 0 or m <= 0 or sum(v * coeffs[i] for i, v in root.entries) < norm_sq:
+    entries, orbit = _witness_root(label, level, k0)
+    m, mh = datum.mults_for(orbit)
+    norm_sq = mu = r = 0
+    for i, v in entries:
+        norm_sq, mu, r = norm_sq + v * v, mu + v * coeffs[i], r + v * r4[i]
+    if mh != 0 or m <= 0 or mu < norm_sq:
         return None
-    return level, sum(v * r4[i] for i, v in root.entries), 2 * m * norm_sq
+    return level, r, 2 * m * norm_sq
 
 
 def _certificate_evidence(system: DirectSystem, pairings: Sequence[tuple[int, int, int] | None],
@@ -496,14 +543,19 @@ def classify(seq: CSequence, config: ClassifyConfig | None = None) -> Convergenc
     chains with a nonzero weight decay to zero: the verdict comes from the
     witness-root certificate or from crossing the floor, whichever is
     available.  Anything else stays Undecided with a request for more levels.
+
+    The witness pairings are read from the rows of the witness levels as
+    ``_chain_rows`` extends them, each level in place from the one below,
+    so a level past the first costs O(its new indices), not O(rank).
     """
     if not seq.levels:
         raise ValueError("empty sequence")
     for earlier, later in zip(seq.values, seq.values[1:]):
         _check_step(earlier, later)
     witness = _witness(seq.system)
-    pairings = [_witness_pairing(witness, level, _level_rows(seq.system, level))
-                for level in seq.levels if witness and level >= witness[2]]
+    levels = [level for level in seq.levels if witness and level >= witness[2]]
+    pairings = [_witness_pairing(witness, level, rows[:3])
+                for level, rows in zip(levels, _chain_rows(seq.system, levels))]
     return _decide(seq, config or ClassifyConfig(), pairings)
 
 

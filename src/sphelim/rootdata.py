@@ -445,7 +445,12 @@ def _as_f_vector(obj, lam) -> tuple[Fraction, ...]:
 
 @functools.lru_cache(maxsize=256)
 def _rho4(datum: SpaceDatum) -> tuple[int, ...]:
-    """4 * rho in f-coefficients (always integral).
+    """4 * rho in f-coefficients (always integral), from ``_rho4_from``."""
+    return tuple(_rho4_from(datum, 0))
+
+
+def _rho4_from(datum: SpaceDatum, lo: int) -> list[int]:
+    """The entries j >= lo of 4 * rho, without the ones below lo.
 
     rho is half the multiplicity-weighted sum of all positive restricted
     roots, halves included.  In 2rho_j the differences f_j - f_i give
@@ -453,11 +458,12 @@ def _rho4(datum: SpaceDatum) -> tuple[int, ...]:
     in all; type A has no sums, and its representative with a zero first
     coefficient is again 2j*m_pair.  The single roots s*f_j and their
     halves add s*m_alpha1 + m_half (m_half is 0 without single roots).
+    So entry j depends only on j, the label and the multiplicities.
     """
     s, _, pair_orbit = ROOT_PATTERNS[datum.psi.label]
     m_pair = datum.mults_for(pair_orbit)[0]
     single = s * datum.mult_alpha1 + datum.mult_half
-    return tuple(2 * (2 * j * m_pair + single) for j in range(datum.psi.ambient_dim))
+    return [2 * (2 * j * m_pair + single) for j in range(lo, datum.psi.ambient_dim)]
 
 
 @functools.lru_cache(maxsize=256)

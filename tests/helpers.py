@@ -105,3 +105,29 @@ def inverse_weyl_dimension(label: str, mu_f) -> Fraction:
             num *= shifted[j]
             den *= rho2[j]
     return Fraction(den, num)
+
+
+def jack_at_ones(lam, p: int, alpha) -> Fraction:
+    """P_lambda^(alpha)(1^p): the Jack P-polynomial of the partition
+    ``lam`` (nonincreasing parts, zeros allowed) at p ones, by Stanley's
+    product over the boxes s = (i, j) of lambda of
+
+        (p + alpha a'(s) - l'(s)) / (alpha a(s) + l(s) + 1),
+
+    with arm a = lambda_i - j, leg l = lambda'_j - i, coarm a' = j - 1 and
+    coleg l' = i - 1 (R. P. Stanley, Adv. Math. 77 (1989); Macdonald,
+    Symmetric Functions and Hall Polynomials, Ch. VI (10.20)).  At alpha = 1
+    it is the Schur polynomial at p ones, the dimension of the GL_p
+    irreducible with highest weight lambda.
+    """
+    parts = [int(c) for c in lam if c]
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"{lam!r} is not a partition")
+    alpha = Fraction(alpha)
+    conjugate = [sum(1 for c in parts if c >= j) for j in range(1, (parts[0] if parts else 0) + 1)]
+    value = Fraction(1)
+    for i, row in enumerate(parts, start=1):
+        for j in range(1, row + 1):
+            arm, leg = row - j, conjugate[j - 1] - i
+            value *= (p + alpha * (j - 1) - (i - 1)) / (alpha * arm + leg + 1)
+    return value

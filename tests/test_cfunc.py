@@ -27,7 +27,7 @@ from sphelim.cfunc import (
     _gamma_root_table,
     _gamma_term,
     _log_cprime,
-    _product_from,
+    _product,
     _root_factor,
     _root_terms,
     _rows,
@@ -491,7 +491,7 @@ class TestOneReductionSchedule:
         for xi in ((1,) * rank, tuple(range(rank, 0, -1)), (4,) + (0,) * (rank - 1)):
             coeffs = _f_ints_from_xi(datum.psi, xi)
             for lo in range(len(coeffs) + 1):
-                num, den = _product_from(datum, coeffs, lo)
+                num, den = _product(_rows(datum, coeffs, lo))
                 assert den > 0 and math.gcd(num, den) == 1, (xi, lo)
 
     def test_values_pinned(self):
@@ -600,7 +600,7 @@ class TestRunTelescoping:
 
     @pytest.mark.parametrize("index", range(len(RUN_CASES)))
     def test_product_from_is_the_literal_product(self, index):
-        """``_product_from(datum, coeffs, lo)`` is the displayed product over
+        """``_product(_rows(datum, coeffs, lo))`` is the displayed product over
         the roots whose largest f-index is at least lo."""
         datum, coeffs, xi = RUN_CASES[index]
         mu = weight_from_xi(datum, xi)
@@ -611,7 +611,7 @@ class TestRunTelescoping:
         n = len(coeffs)
         for lo in sorted({0, n // 2, n - 1, n}):
             want = math.prod((f for top, f in factors if top >= lo), start=Fraction(1))
-            assert Fraction(*_product_from(datum, coeffs, lo)) == want, (xi, lo)
+            assert Fraction(*_product(_rows(datum, coeffs, lo))) == want, (xi, lo)
 
     def test_a_row_has_at_most_two_factors_per_run_and_one(self):
         longest = 0

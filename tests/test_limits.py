@@ -6,12 +6,14 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from helpers import jack_at_ones
 
-from sphelim import limits
-from sphelim.cfunc import CFactorParams, _root_factor, c_value
+from sphelim import cfunc, limits
+from sphelim.cfunc import CFactorParams, _root_factor, _run_ends, c_value
 from sphelim.cli import to_jsonable
 from sphelim.limits import (
     MODE_FINITE,
@@ -34,6 +36,7 @@ from sphelim.limits import (
 )
 from sphelim.rootdata import (
     FAMILIES,
+    _f_ints_from_xi,
     build_space,
     lambda_alpha,
     positive_nonmultipliable_roots,
@@ -306,6 +309,25 @@ def _first_weight_systems():
 
 FIRST_WEIGHT_SYSTEMS = _first_weight_systems()
 FIRST_WEIGHT_IDS = [f"{s.family}{s.base_coeffs}" for s in FIRST_WEIGHT_SYSTEMS]
+
+
+def _seeded_weight_systems():
+    """Each infinite-rank family with one seeded weight (digits 0..2) of
+    length its smallest rank or 3, whichever is larger."""
+    rng = random.Random(20261019)
+    out = []
+    for family in INFINITE_FAMILIES:
+        fam = FAMILIES[family]
+        base = min(fam.rank_of(n) for n in (fam.min_n, fam.min_n + 1))
+        out.append(DirectSystem(family, tuple(rng.randrange(3) for _ in range(max(base, 3)))))
+    return out
+
+
+# the 9 infinite-rank families with xi_1, xi_2, xi_3 and one seeded weight
+ROW_SYSTEMS = FIRST_WEIGHT_SYSTEMS + _seeded_weight_systems()
+ROW_IDS = [f"{s.family}{s.base_coeffs}" for s in ROW_SYSTEMS]
+ROW_TOP = 300
+
 # finite-rank chains: q = p is one whole product, and every level above it
 # comes from the chain's table of linear forms in q
 FOLD_SYSTEMS = FIRST_WEIGHT_SYSTEMS + [
@@ -350,6 +372,32 @@ class TestIncrementalFold:
         assert seq.values == _from_scratch(system, seq.levels)
         seq = seq.extended([8, 4, 20])
         assert seq.values == _from_scratch(system, seq.levels)
+
+    @pytest.mark.parametrize("system", ROW_SYSTEMS, ids=ROW_IDS)
+    def test_extended_rows_are_the_rebuilt_rows(self, system):
+        # a level extends the rows of the one below it in place; at every
+        # level they must be the rows built from scratch, contiguous or not
+        b = system.base_level
+        for levels in (range(b, ROW_TOP + 1), sorted({b, b + 1, b + 5, 40, 41, ROW_TOP})):
+            lo_want = 0
+            for level, (datum, coeffs, r4, ends, lo) in zip(
+                    levels, limits._chain_rows(system, levels), strict=True):
+                want_datum, want_coeffs, want_r4 = limits._level_rows(system, level)
+                assert datum == want_datum
+                assert coeffs == want_coeffs, level
+                assert r4 == list(want_r4), level
+                assert ends == _run_ends(want_coeffs), level
+                assert lo == lo_want
+                lo_want = len(coeffs)
+
+    @pytest.mark.parametrize("system", ROW_SYSTEMS, ids=ROW_IDS)
+    def test_sparse_levels_match_c_value(self, system):
+        b = system.base_level
+        levels = sorted({b, b + 1, b + 5, 40, 41, ROW_TOP})
+        seq = c_sequence(system, levels)
+        assert seq.values == _from_scratch(system, levels)
+        # a fold that starts above the base level, between known levels
+        assert c_sequence(system, levels[:2]).extended(levels[2:]).values == seq.values
 
     @pytest.mark.parametrize("system", FIRST_WEIGHT_SYSTEMS, ids=FIRST_WEIGHT_IDS)
     def test_certificate_matches_propagated_pairings(self, system):
@@ -400,7 +448,7 @@ class TestIncrementalFold:
             if level == bad_level:
                 if perturb == "rho_not_affine":
                     i = infinite_rank_root_sequence(label, level, k0).entries[-1][0]
-                    r4 = r4[:i] + (r4[i] + 4,) + r4[i + 1:]
+                    r4 = [*r4[:i], r4[i] + 4, *r4[i + 1:]]  # a copy: the fold shares r4
                 elif perturb == "mult_changes":
                     datum = dataclasses.replace(datum, mult_middle=datum.mult_middle + 1,
                                                 mult_alpha1=datum.mult_alpha1 + 1)
@@ -437,6 +485,17 @@ def _table_systems():
 
 
 TABLE_SYSTEMS = _table_systems()
+
+
+def _jack_systems():
+    """Six seeded weights (digits 0..2) on every Grassmannian field at
+    p = 1..6."""
+    rng = random.Random(20261020)
+    return [DirectSystem(family, tuple(rng.randrange(3) for _ in range(p)), fixed_p=p)
+            for family in FINITE_FAMILIES for p in range(1, 7) for _ in range(6)]
+
+
+JACK_SYSTEMS = _jack_systems()
 
 
 def _leading_ratio(system):
@@ -536,6 +595,32 @@ class TestGrassmannianTable:
         assert report.verdict == VERDICT_POSITIVE
         assert min(seq.values) >= limit
         assert c_sequence(system, [10 ** 6]).values[0] >= limit
+
+    @pytest.mark.parametrize("system", JACK_SYSTEMS, ids=lambda s: f"{s.family}{s.base_coeffs}")
+    def test_leading_ratio_is_the_jack_evaluation(self, system):
+        """L = 4^-|lambda| / P_lambda^(2/d)(1^p), with lambda half the
+        chain's integer f-coefficients read as a partition: the normalized
+        BC_p Jacobi polynomials tend to Jack polynomials with alpha = 2/d
+        (Rosler, Koornwinder and Voit, Compositio Math. 149 (2013)).
+        Observed here on every case, not proved."""
+        datum = datum_at_level(system, system.fixed_p)
+        f = _f_ints_from_xi(datum.psi, system.base_coeffs)
+        assert all(c % 2 == 0 for c in f)
+        lam = sorted((c // 2 for c in f), reverse=True)
+        alpha = Fraction(2, FAMILIES[system.family].d)
+        assert _leading_ratio(system) == 1 / (4 ** sum(lam) * jack_at_ones(lam, datum.rank, alpha))
+
+    @pytest.mark.parametrize("family, limit", zip(FINITE_FAMILIES, (
+        Fraction(3, 128), Fraction(1, 48), Fraction(3, 160))))
+    def test_jack_examples(self, family, limit):
+        # f = (0, 4), so lambda = (2, 0), at p = 2 on R, C and H; at p = 1,
+        # L = 4^-k on every field
+        alpha = Fraction(2, FAMILIES[family].d)
+        assert _leading_ratio(DirectSystem(family, (0, 2), fixed_p=2)) == limit
+        assert limit == 1 / (4 ** 2 * jack_at_ones((2, 0), 2, alpha))
+        for k in range(5):
+            assert _leading_ratio(DirectSystem(family, (k,), fixed_p=1)) == Fraction(1, 4 ** k)
+            assert jack_at_ones((k,), 1, alpha) == 1
 
     def test_limit_is_approached_at_an_exact_one_over_q_rate(self):
         """c(p+1+t) = L prod(1 + b/(a t)) / prod(1 + d/(c t)) over the
@@ -663,6 +748,28 @@ class TestClassifierEdges:
         else:
             assert report.evidence["certificate"] is not None
             assert calls[0] == len(seq.levels)
+
+    def test_deep_scan_builds_its_rows_once(self, monkeypatch):
+        # a level extends the f-coefficients and 4 rho of the one below it,
+        # so a scan to level 2,000 computes each from scratch once, and so
+        # does classify for the witness pairings of the finished sequence
+        calls = Counter()
+
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        for module in (limits, cfunc):
+            for name in ("_f_ints_from_xi", "_rho4"):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        seq, report = classify_scan(DirectSystem("group-sp", (0, 1, 0, 2)), 2000, batch=2000)
+        assert seq.levels[-1] == 2000 and report.evidence["certificate"] is not None
+        assert calls["_f_ints_from_xi"] <= 1 and calls["_rho4"] <= 1, calls
+        calls.clear()
+        assert classify(seq).evidence == report.evidence
+        assert calls["_f_ints_from_xi"] <= 1 and calls["_rho4"] <= 1, calls
 
     def test_empty_sequence_rejected(self):
         system = DirectSystem("rank1-real", (1,))
