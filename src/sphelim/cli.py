@@ -169,8 +169,6 @@ _SCAN_KEYS = {
     "p": {"type": int, "help": "fixed p for Grassmannian chains"},
     "max_level": {"type": int, "help": "highest level to scan (default 200)"},
     "zero_floor": {"type": _parse_fraction},
-    "window": {"type": int},
-    "rtol": {"type": float},
     "batch": {"type": int},
     "csv": {"help": "write the level/value table here instead of stdout"},
 }
@@ -321,7 +319,7 @@ def _self_checks():
     def rank_one_chain():
         _, report = classify_scan(DirectSystem("rank1-real", (1,)), max_level=150)
         assert report.verdict == "PositiveLimit"
-        assert abs(report.limit_estimate - 0.25) < 1e-3
+        assert report.evidence["limit"] == Fraction(1, 4)
 
     def row_eleven():
         assert c_value(build_space("sp-over-u", n=4), (1, 0, 0, 0)) == Fraction(5, 128)
@@ -376,7 +374,7 @@ def _self_checks():
         ("normalization at the zero weight", normalization),
         ("simple-root / fundamental-weight duality", duality),
         ("type-A chain decays with certificate", a_chain),
-        ("rank-one chain stabilizes near 1/4", rank_one_chain),
+        ("rank-one chain tends to exactly 1/4", rank_one_chain),
         ("row-11 value 5/128", row_eleven),
         ("divergence certificate products", certificates),
         ("log-gamma oracle agreement", gamma_oracle),

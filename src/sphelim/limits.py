@@ -6,7 +6,8 @@ chain, a dominant weight propagates by keeping its fundamental-weight
 coefficients and zero-padding; the overlap constants then form a
 nonincreasing sequence whose limit is positive exactly in the finite-rank
 case.  ``classify`` decides which side of the dichotomy a computed sequence
-sits on, attaching a divergence certificate in the infinite-rank case.
+sits on, attaching the exact limit (``exact_limit``) in the finite-rank case
+and a divergence certificate in the infinite-rank case.
 """
 
 from __future__ import annotations
@@ -200,13 +201,14 @@ class CSequence:
                          tuple(v for _, v in merged))
 
 
-def _values_at(system: DirectSystem, levels: Iterable[int]) -> Iterator[tuple[Fraction, tuple | None]]:
+def _values_at(system: DirectSystem, levels: Iterable[int],
+               ) -> Iterator[tuple[Fraction, Fraction | tuple]]:
     """Exact values at ascending levels, yielded one at a time, each with
-    the rows it was computed from, (datum, f-coefficients, 4 rho), on an
-    infinite-rank chain and None on a finite-rank one, where no certificate
-    reads them.  The rows' lists are shared with the fold and grow with
-    the next level, so a consumer reads them before it asks for the next
-    value.
+    what the verdict reads besides the values: on an infinite-rank chain the
+    rows it was computed from, (datum, f-coefficients, 4 rho), and on a
+    finite-rank chain its exact limit (``exact_limit``).  The rows' lists
+    are shared with the fold and grow with the next level, so a consumer
+    reads them before it asks for the next value.
 
     Infinite rank: a level extends the one below it in place
     (``_chain_rows``).  The multiplicities agree from level to level, and
@@ -234,23 +236,42 @@ def _values_at(system: DirectSystem, levels: Iterable[int]) -> Iterator[tuple[Fr
     product.
     """
     if system.mode == MODE_FINITE:
-        p, table = system.fixed_p, None
+        p, table = system.fixed_p, _grassmannian_table(system)
+        const_num, const_den, num, den = table
+        limit = _table_limit(table)
         for level in levels:
             if level <= p:  # q = p; _level_rows rejects a level below it
                 datum, coeffs, _ = _level_rows(system, level)
-                yield Fraction(*_product(_rows(datum, coeffs, 0))), None
+                yield Fraction(*_product(_rows(datum, coeffs, 0))), limit
                 continue
-            if table is None:
-                table = _grassmannian_table(system)
-            const_num, const_den, num, den = table
             t = level - p - 1
             yield Fraction(const_num * math.prod(a * t + b for a, b in num),
-                           const_den * math.prod(a * t + b for a, b in den)), None
+                           const_den * math.prod(a * t + b for a, b in den)), limit
         return
     value = Fraction(1)
     for datum, coeffs, r4, ends, lo in _chain_rows(system, levels):
         value *= Fraction(*_product(_walk_rows(datum, coeffs, r4, ends, lo)))
         yield value, (datum, coeffs, r4)
+
+
+def exact_limit(system: DirectSystem) -> Fraction:
+    """The exact limit of c(q) as q -> oo on a finite-rank chain: the ratio
+    C_n prod a / (C_d prod c) of the leading coefficients of its
+    ``_grassmannian_table``, 4^-|lambda| / P_lambda^(2/d)(1^p) on every
+    chain tested, as the BC -> A limit transition of Rosler, Koornwinder
+    and Voit (Compositio Math. 149 (2013)) predicts.  Raises ValueError on
+    an infinite-rank chain, ArithmeticError if c(q) has unequal degrees."""
+    if system.mode != MODE_FINITE:
+        raise ValueError(f"family {system.family!r} grows in rank; its limit is not a table's")
+    return _table_limit(_grassmannian_table(system))
+
+
+def _table_limit(table: tuple[int, int, list, list]) -> Fraction:
+    const_num, const_den, num, den = table
+    if len(num) != len(den):
+        raise ArithmeticError(f"internal error: c(q) has degree {len(num)} over {len(den)} in q")
+    return Fraction(const_num * math.prod(a for a, _ in num),
+                    const_den * math.prod(c for c, _ in den))
 
 
 def _grassmannian_table(system: DirectSystem) -> tuple[int, int, list, list]:
@@ -494,25 +515,15 @@ def _certificate_evidence(system: DirectSystem, pairings: Sequence[tuple[int, in
 
 @dataclass(frozen=True)
 class ClassifyConfig:
-    """Thresholds for the convergence verdict.
-
-    zero_floor: crossing it (infinite-rank mode) yields ZeroLimit even
-    without a certificate.  window/rtol: a PositiveLimit verdict (finite-rank
-    mode) needs the last ``window`` levels to have consecutive relative
-    changes below ``rtol``; the values themselves are positive, since every
-    exact value is a product of positive factors.
-    """
+    """The threshold of the infinite-rank verdict: crossing ``zero_floor``
+    yields ZeroLimit even without a certificate."""
 
     zero_floor: Fraction = Fraction(1, 10 ** 6)
-    window: int = 5
-    rtol: float = 1e-4
 
     def __post_init__(self):
         object.__setattr__(self, "zero_floor", Fraction(self.zero_floor))
-        if self.window < 2:
-            raise ValueError("window must be at least 2")
-        if not 0 < self.rtol < math.inf or self.zero_floor <= 0:
-            raise ValueError("rtol and zero_floor must be positive, and rtol finite")
+        if self.zero_floor <= 0:
+            raise ValueError("zero_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -526,23 +537,15 @@ class ConvergenceReport:
         return self.verdict != VERDICT_UNDECIDED
 
 
-def _richardson(levels: Sequence[int], values: Sequence[Fraction]) -> float:
-    """Two-point extrapolation against a 1/level tail."""
-    if len(values) == 1:
-        return float(values[0])
-    n, m = levels[-2], levels[-1]
-    cn, cm = values[-2], values[-1]
-    return float((m * cm - n * cn) / Fraction(m - n))
-
-
 def classify(seq: CSequence, config: ClassifyConfig | None = None) -> ConvergenceReport:
     """Decide the limit of an overlap sequence.
 
-    Finite-rank chains converge to a positive limit: the verdict waits for a
-    stabilization window, then reports the extrapolated limit.  Infinite-rank
-    chains with a nonzero weight decay to zero: the verdict comes from the
-    witness-root certificate or from crossing the floor, whichever is
-    available.  Anything else stays Undecided with a request for more levels.
+    Finite-rank chains converge to a positive limit: the verdict reports
+    ``exact_limit`` in its evidence and its float as ``limit_estimate``,
+    and is never Undecided.  Infinite-rank chains with a nonzero weight
+    decay to zero: the verdict comes from the witness-root certificate or
+    from crossing the floor, whichever is available.  Anything else stays
+    Undecided with a request for more levels.
 
     The witness pairings are read from the rows of the witness levels as
     ``_chain_rows`` extends them, each level in place from the one below,
@@ -552,6 +555,8 @@ def classify(seq: CSequence, config: ClassifyConfig | None = None) -> Convergenc
         raise ValueError("empty sequence")
     for earlier, later in zip(seq.values, seq.values[1:]):
         _check_step(earlier, later)
+    if seq.system.mode == MODE_FINITE:
+        return _decide(seq, config or ClassifyConfig(), exact_limit(seq.system))
     witness = _witness(seq.system)
     levels = [level for level in seq.levels if witness and level >= witness[2]]
     pairings = [_witness_pairing(witness, level, rows[:3])
@@ -569,9 +574,11 @@ def _check_step(earlier: Fraction, later: Fraction) -> None:
 
 
 def _decide(seq: CSequence, config: ClassifyConfig,
-            pairings: Sequence[tuple[int, int, int] | None]) -> ConvergenceReport:
+            limit_or_pairings: Fraction | Sequence[tuple[int, int, int] | None],
+            ) -> ConvergenceReport:
     """The verdict of ``classify`` on a nonempty, checked nonincreasing
-    sequence, given the witness pairings of its witness levels."""
+    sequence, given a finite-rank chain's exact limit, which must lie in
+    (0, last value], or the witness pairings of its witness levels."""
     last_level, last_value = seq.last()
     base_evidence = {
         "mode": seq.system.mode,
@@ -579,28 +586,18 @@ def _decide(seq: CSequence, config: ClassifyConfig,
         "last_level": last_level,
         "last_value": last_value,
     }
+    if seq.system.mode == MODE_FINITE:
+        limit = base_evidence["limit"] = limit_or_pairings
+        if not 0 < limit <= last_value:
+            raise ArithmeticError(f"internal error: the limit {limit} is not in "
+                                  f"(0, {last_value}], the value at level {last_level}")
+        if limit < 1:  # a limit of 1 makes every value 1
+            return ConvergenceReport(VERDICT_POSITIVE, float(limit), base_evidence)
     # nonincreasing, so every value is 1 exactly when the first and last are
     if seq.values[0] == 1 and last_value == 1:
         return ConvergenceReport(VERDICT_POSITIVE, 1.0,
                                  base_evidence | {"constant_one": True})
-    if seq.system.mode == MODE_FINITE:
-        w = config.window
-        if len(seq.values) >= w:
-            tail = seq.values[-w:]
-            rels = [float((hi - lo) / hi) for hi, lo in zip(tail, tail[1:])]
-            if max(rels) < config.rtol:
-                estimate = _richardson(seq.levels, seq.values)
-                return ConvergenceReport(VERDICT_POSITIVE, estimate, base_evidence | {
-                    "stabilization_window": list(seq.levels[-w:]),
-                    "max_relative_change": max(rels),
-                    "window_lower_bound": min(tail),
-                    "extrapolation": "two-point against 1/level",
-                })
-        return ConvergenceReport(VERDICT_UNDECIDED, None, base_evidence | {
-            "request": "more levels",
-            "reason": f"no trailing window of {w} levels with relative change below {config.rtol}",
-        })
-    certificate = _certificate_evidence(seq.system, pairings, last_value)
+    certificate = _certificate_evidence(seq.system, limit_or_pairings, last_value)
     floor_crossed = last_value < config.zero_floor
     if certificate is not None or floor_crossed:
         return ConvergenceReport(VERDICT_ZERO, 0.0, base_evidence | {
@@ -625,12 +622,13 @@ def classify_scan(system: DirectSystem, max_level: int,
     below it as it arrives.  On an infinite-rank chain each level's rows are
     reduced to the level's witness pairing as the level arrives, so the scan
     builds every level once and keeps a few integers per level for the
-    certificate.  The verdict is taken every ``batch`` levels and at
-    ``max_level``, so ``batch`` sets where a scan may stop, never the value
-    at a level.  ``max_workers`` is ignored: every scan is serial.  It stays
-    because the benchmark harness in ``perfbench/`` passes
-    ``max_workers=1``, and that harness must run unchanged on every
-    revision it compares.
+    certificate; a finite-rank scan reads its table and exact limit once,
+    builds at most four spaces and decides at its first verdict.  The
+    verdict is taken every ``batch`` levels and at ``max_level``, so
+    ``batch`` sets where a scan may stop, never the value at a level.
+    ``max_workers`` is ignored: every scan is serial.  It stays because the
+    benchmark harness in ``perfbench/`` passes ``max_workers=1``, and that
+    harness must run unchanged on every revision it compares.
     """
     config = config or ClassifyConfig()
     if max_level < system.base_level:
@@ -639,15 +637,16 @@ def classify_scan(system: DirectSystem, max_level: int,
         raise ValueError("batch must be at least 1")
     levels = range(system.base_level, max_level + 1)
     witness = _witness(system)
+    finite = system.mode == MODE_FINITE
     values, pairings = [], []
-    for level, (value, rows) in zip(levels, _values_at(system, levels)):
+    for level, (value, rows_or_limit) in zip(levels, _values_at(system, levels)):
         if values:
             _check_step(values[-1], value)
         values.append(value)
         if witness and level >= witness[2]:
-            pairings.append(_witness_pairing(witness, level, rows))
+            pairings.append(_witness_pairing(witness, level, rows_or_limit))
         if len(values) % batch == 0 or level == max_level:
             seq = CSequence(system, tuple(levels[:len(values)]), tuple(values))
-            report = _decide(seq, config, pairings)
+            report = _decide(seq, config, rows_or_limit if finite else pairings)
             if report.decided or level == max_level:
                 return seq, report

@@ -155,15 +155,29 @@ class TestRankOneChain:
         system = DirectSystem("rank1-real", (1,))
         seq, report = classify_scan(system, max_level=150)
         assert report.verdict == VERDICT_POSITIVE
-        assert report.limit_estimate == pytest.approx(0.25, abs=1e-12)
-        assert report.evidence["window_lower_bound"] > 0
+        assert report.limit_estimate == 0.25
+        assert report.evidence["limit"] == Fraction(1, 4)
+        assert seq.levels == tuple(range(1, 26))  # decided at the first batch
 
-    def test_short_scan_stays_undecided(self):
-        system = DirectSystem("rank1-real", (1,))
-        report = classify(c_sequence(system, range(1, 5)))
-        assert report.verdict == VERDICT_UNDECIDED
-        assert not report.decided
-        assert report.evidence["request"] == "more levels"
+    def test_short_scan_decides(self):
+        # the limit is exact, so a finite-rank sequence is never Undecided;
+        # c(1) = 1, but the weight is not trivial, so the limit is still 1/4
+        for levels in ([1], range(1, 5), [7, 10 ** 6]):
+            report = classify(c_sequence(DirectSystem("rank1-real", (1,)), levels))
+            assert report.verdict == VERDICT_POSITIVE
+            assert report.evidence["limit"] == Fraction(1, 4)
+            assert report.limit_estimate == 0.25
+            assert "constant_one" not in report.evidence
+
+    @pytest.mark.parametrize("k", [40, 600])
+    def test_limit_of_a_high_weight(self, k):
+        # the limit 4^-k is exact at any k; at k = 600 its float underflows
+        seq, report = classify_scan(DirectSystem("rank1-real", (k,)), max_level=20000)
+        assert report.verdict == VERDICT_POSITIVE
+        assert report.evidence["limit"] == Fraction(1, 4 ** k)
+        assert report.limit_estimate == float(Fraction(1, 4 ** k))
+        assert (report.limit_estimate == 0.0) == (k == 600)
+        assert seq.levels[-1] == 25
 
     def test_values_are_leading_zonal_coefficients(self):
         """The bridge to the zonal side: c(k xi_1) on the q-sphere is the
@@ -281,6 +295,15 @@ class TestInfiniteChains:
             c_sequence(system, range(1, 6))
         with pytest.raises(ArithmeticError, match="internal error: level 2 does not extend"):
             classify_scan(system, 10)
+
+    def test_short_scan_stays_undecided(self):
+        # one level: too few witness rows for a certificate, and the value
+        # 1/2 is above the floor
+        report = classify(c_sequence(DirectSystem("group-su", (1,)), [1]))
+        assert report.verdict == VERDICT_UNDECIDED
+        assert not report.decided
+        assert report.limit_estimate is None
+        assert report.evidence["request"] == "more levels"
 
     def test_floor_crossing_without_certificate_scan(self):
         # a single late level: too few witness rows for a certificate, but
@@ -498,13 +521,33 @@ def _jack_systems():
 JACK_SYSTEMS = _jack_systems()
 
 
-def _leading_ratio(system):
-    """The limit of c(q) as q -> oo read from the table: the ratio of the
-    leading coefficients, with both sides of equal degree."""
-    const_num, const_den, num, den = limits._grassmannian_table(system)
-    assert len(num) == len(den)
-    return Fraction(const_num * math.prod(a for a, _ in num),
-                    const_den * math.prod(c for c, _ in den))
+# the chains of the benchmark's stable_chain workload: the all-ones weight on
+# every field at p = 1..6
+STABLE_SYSTEMS = [DirectSystem(family, (1,) * p, fixed_p=p)
+                  for family in FINITE_FAMILIES for p in range(1, 7)]
+
+
+def _jack_limit(system):
+    """4^-|lambda| / P_lambda^(2/d)(1^p), with lambda half the chain's
+    integer f-coefficients read as a partition."""
+    datum = datum_at_level(system, system.fixed_p)
+    f = _f_ints_from_xi(datum.psi, system.base_coeffs)
+    assert all(c % 2 == 0 for c in f)
+    lam = sorted((c // 2 for c in f), reverse=True)
+    alpha = Fraction(2, FAMILIES[system.family].d)
+    return 1 / (4 ** sum(lam) * jack_at_ones(lam, datum.rank, alpha))
+
+
+def _check_jack_limit(system):
+    """exact_limit is the Jack evaluation, and a scan decides at its first
+    batch with that limit in its evidence and its float as the estimate."""
+    limit = _jack_limit(system)
+    assert limits.exact_limit(system) == limit
+    seq, report = classify_scan(system, 20000)
+    assert report.verdict == VERDICT_POSITIVE
+    assert report.evidence["limit"] == limit
+    assert report.limit_estimate == float(limit)
+    assert len(seq.levels) == 25
 
 
 class TestGrassmannianTable:
@@ -590,9 +633,10 @@ class TestGrassmannianTable:
           for family in FINITE_FAMILIES),
     ], ids=lambda v: f"{v.family}{v.base_coeffs}" if isinstance(v, DirectSystem) else "")
     def test_leading_ratio_is_the_limit(self, system, limit):
-        assert _leading_ratio(system) == limit
+        assert limits.exact_limit(system) == limit
         seq, report = classify_scan(system, 20000)
         assert report.verdict == VERDICT_POSITIVE
+        assert report.evidence["limit"] == limit
         assert min(seq.values) >= limit
         assert c_sequence(system, [10 ** 6]).values[0] >= limit
 
@@ -603,12 +647,13 @@ class TestGrassmannianTable:
         BC_p Jacobi polynomials tend to Jack polynomials with alpha = 2/d
         (Rosler, Koornwinder and Voit, Compositio Math. 149 (2013)).
         Observed here on every case, not proved."""
-        datum = datum_at_level(system, system.fixed_p)
-        f = _f_ints_from_xi(datum.psi, system.base_coeffs)
-        assert all(c % 2 == 0 for c in f)
-        lam = sorted((c // 2 for c in f), reverse=True)
-        alpha = Fraction(2, FAMILIES[system.family].d)
-        assert _leading_ratio(system) == 1 / (4 ** sum(lam) * jack_at_ones(lam, datum.rank, alpha))
+        _check_jack_limit(system)
+
+    @pytest.mark.parametrize("system", STABLE_SYSTEMS + TABLE_SYSTEMS,
+                             ids=lambda s: f"{s.family}{s.base_coeffs}")
+    def test_scan_reports_the_jack_evaluation(self, system):
+        # the benchmark's chains and the table catalog, digits 0..3
+        _check_jack_limit(system)
 
     @pytest.mark.parametrize("family, limit", zip(FINITE_FAMILIES, (
         Fraction(3, 128), Fraction(1, 48), Fraction(3, 160))))
@@ -616,10 +661,10 @@ class TestGrassmannianTable:
         # f = (0, 4), so lambda = (2, 0), at p = 2 on R, C and H; at p = 1,
         # L = 4^-k on every field
         alpha = Fraction(2, FAMILIES[family].d)
-        assert _leading_ratio(DirectSystem(family, (0, 2), fixed_p=2)) == limit
+        assert limits.exact_limit(DirectSystem(family, (0, 2), fixed_p=2)) == limit
         assert limit == 1 / (4 ** 2 * jack_at_ones((2, 0), 2, alpha))
         for k in range(5):
-            assert _leading_ratio(DirectSystem(family, (k,), fixed_p=1)) == Fraction(1, 4 ** k)
+            assert limits.exact_limit(DirectSystem(family, (k,), fixed_p=1)) == Fraction(1, 4 ** k)
             assert jack_at_ones((k,), 1, alpha) == 1
 
     def test_limit_is_approached_at_an_exact_one_over_q_rate(self):
@@ -633,7 +678,7 @@ class TestGrassmannianTable:
             _, _, num, den = limits._grassmannian_table(system)
             if not num and not den:
                 continue
-            limit = _leading_ratio(system)
+            limit = limits.exact_limit(system)
             rate = limit * (sum(Fraction(b, a) for a, b in num)
                             - sum(Fraction(d, c) for c, d in den))
             assert rate > 0, system
@@ -656,7 +701,7 @@ class TestGrassmannianTable:
         for k in range(8):
             system = DirectSystem(family, (k,), fixed_p=1)
             limit = Fraction(1, 4 ** k)
-            assert _leading_ratio(system) == limit
+            assert limits.exact_limit(system) == limit
             rate = 2 * k * (k + b) / (datum.d * 4 ** k)
             levels = (10 ** 4, 10 ** 6)
             near, far = (q * (value - limit) - rate
@@ -673,15 +718,39 @@ class TestFiniteChains:
         system = DirectSystem(family, (1, 1), fixed_p=2)
         seq, report = classify_scan(system, max_level=700, batch=50)
         assert report.verdict == VERDICT_POSITIVE
-        assert report.limit_estimate > 0
-        assert report.evidence["max_relative_change"] < 1e-4
+        assert report.evidence["limit"] == Fraction(1, 128)
+        assert report.limit_estimate == 1 / 128
+        assert seq.levels == tuple(range(2, 52))
 
     def test_batch_size_does_not_change_verdict(self):
         system = DirectSystem("rank1-real", (1,))
         _, report_a = classify_scan(system, max_level=150, batch=7)
         _, report_b = classify_scan(system, max_level=150, batch=25)
         assert report_a.verdict == report_b.verdict == VERDICT_POSITIVE
-        assert report_a.limit_estimate == pytest.approx(report_b.limit_estimate, rel=1e-9)
+        assert report_a.limit_estimate == report_b.limit_estimate == 0.25
+
+    @pytest.mark.parametrize("wrong, error", [
+        (lambda cn, cd, num, den: (cn, cd, num + [(1, 1)], den), "degree 3 over 2"),
+        (lambda cn, cd, num, den: (10 ** 6 * cn, cd, num, den), "is not in"),
+    ], ids=["unequal-degrees", "limit-above-the-last-value"])
+    @pytest.mark.parametrize("family", FINITE_FAMILIES)
+    def test_a_wrong_table_raises(self, monkeypatch, family, wrong, error):
+        # a table whose limit is not a positive lower bound of the values
+        # contradicts the finite-rank theorem: the verdict must raise, not
+        # report PositiveLimit or Undecided
+        system = DirectSystem(family, (1, 1), fixed_p=2)
+        seq = c_sequence(system, range(2, 40))
+        real_table = limits._grassmannian_table
+        monkeypatch.setattr(limits, "_grassmannian_table",
+                            lambda system: wrong(*real_table(system)))
+        with pytest.raises(ArithmeticError, match=f"internal error: .*{error}"):
+            classify(seq)
+        with pytest.raises(ArithmeticError, match=f"internal error: .*{error}"):
+            classify_scan(system, max_level=2)  # q = p is not read from the table
+
+    def test_exact_limit_needs_a_finite_rank_chain(self):
+        with pytest.raises(ValueError, match="grows in rank"):
+            limits.exact_limit(DirectSystem("group-su", (1,)))
 
     def test_max_level_below_base(self):
         with pytest.raises(ValueError, match="below the base level"):
@@ -702,6 +771,8 @@ class TestClassifierEdges:
             assert report.verdict == VERDICT_POSITIVE
             assert report.limit_estimate == 1.0
             assert report.evidence["constant_one"]
+            if system.mode == MODE_FINITE:
+                assert report.evidence["limit"] == 1
 
     def test_monotonicity_guard(self):
         system = DirectSystem("rank1-real", (1,))
@@ -709,10 +780,11 @@ class TestClassifierEdges:
         with pytest.raises(ValueError, match="upstream bug"):
             classify(bogus)
 
-    @pytest.mark.parametrize("bad_index", [25, 37])
+    @pytest.mark.parametrize("bad_index", [24, 13])
     def test_scan_monotonicity_guard(self, monkeypatch, bad_index):
         # classify_scan checks each value as the fold yields it; an increase
-        # at a batch boundary (index 25) or inside a batch still raises
+        # on a batch's last value (index 24) or inside a batch still raises,
+        # and a finite-rank scan decides at its first batch, so both lie there
         real = limits._values_at
         seen = []
 
@@ -732,8 +804,8 @@ class TestClassifierEdges:
     @pytest.mark.parametrize("batch", [1, 25])
     def test_scan_builds_each_level_once(self, monkeypatch, system, batch):
         # every build_space call counts, those for the witness certificate too;
-        # a finite-rank scan builds q = p and the three levels of its table,
-        # however long it runs
+        # a finite-rank scan or fold builds q = p and the three levels of its
+        # table, however long it runs
         real_build, calls = limits.build_space, [0]
 
         def counting_build(*args, **kwargs):
@@ -744,7 +816,10 @@ class TestClassifierEdges:
         seq, report = classify_scan(system, max_level=2000, batch=batch)
         assert report.decided
         if system.mode == MODE_FINITE:
-            assert calls[0] <= 4 < len(seq.levels)
+            assert calls[0] <= 4
+            calls[0] = 0
+            assert len(c_sequence(system, range(system.base_level, 2001)).levels) == 1998
+            assert calls[0] <= 4
         else:
             assert report.evidence["certificate"] is not None
             assert calls[0] == len(seq.levels)
@@ -777,13 +852,9 @@ class TestClassifierEdges:
             classify(CSequence(system, (), ()))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="window"):
-            ClassifyConfig(window=1)
-        for rtol in (0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="positive"):
-                ClassifyConfig(rtol=rtol)
         with pytest.raises(ValueError, match="positive"):
             ClassifyConfig(zero_floor=0)
+        assert [f.name for f in dataclasses.fields(ClassifyConfig)] == ["zero_floor"]
 
     def test_report_decided(self):
         assert ConvergenceReport(VERDICT_ZERO, 0.0, {}).decided
