@@ -171,11 +171,10 @@ def c_value(datum: SpaceDatum, mu) -> Fraction:
     Rejects weights outside the spherical dominant lattice, naming the
     lexicographically first pattern root that fails integrality.  Pattern
     roots of total multiplicity zero contribute nothing.  Computed by
-    ``_product`` over ``_rows`` at lo = 0, reduced after each f-index row as
-    a chain fold is after each level, so its pair is already in lowest
-    terms.  A row costs one factor per run of equal f-coefficients below it
-    (``_rows``), so a weight with a few distinct coefficients costs O(rank)
-    factors, not one per root.
+    ``_product`` over ``_rows`` at lo = 0, reduced after each f-index row,
+    so its pair is already in lowest terms.  A row costs one factor per run
+    of equal f-coefficients below it (``_rows``), so a weight with a few
+    distinct coefficients costs O(rank) factors, not one per root.
     """
     if isinstance(mu, Weight):
         coeffs = _integer_f_coeffs(datum, mu)
@@ -196,16 +195,14 @@ def _xi_f_ints(datum: SpaceDatum, mu) -> list[int]:
 
 def _product(rows: Iterable[list[tuple[int, int, tuple[int, int]]]]) -> tuple[int, int]:
     """Reduced integer numerator/denominator of the product of the rows'
-    factors (``_walk_rows``): each factor's coprime pair from the
+    factors (``_rows``): each factor's coprime pair from the
     ``_root_factor`` memo is multiplied in as small integers, and each row
     is reduced by one gcd and cancelled into the running pair by gcds, as
     Fraction multiplication does.  Over ``_rows(datum, coeffs, lo)`` this
     is the overlap product over the pattern roots whose largest f-index is
     at least ``lo``: the single roots s*f_j and the pairs f_j -+ f_i
-    (i < j) with j >= lo.  With lo = 0 it is the whole product; along a
-    chain whose integer f-coefficients ``coeffs`` and rho extend those of a
-    lower level of ambient dimension lo, it is c(this level) / c(lower
-    level).  Rejects like ``c_value``."""
+    (i < j) with j >= lo.  With lo = 0 it is the whole product.  Rejects
+    like ``c_value``."""
     num = den = 1
     for row in rows:
         rn = rd = 1
@@ -220,37 +217,15 @@ def _product(rows: Iterable[list[tuple[int, int, tuple[int, int]]]]) -> tuple[in
     return num, den
 
 
-def _rows(datum: SpaceDatum, coeffs: list[int],
+def _rows(datum: SpaceDatum, coeffs: Sequence[int],
           lo: int) -> Iterator[list[tuple[int, int, tuple[int, int]]]]:
-    """The factors of each f-index row j >= lo (``_walk_rows``) of one
-    weight, with 4 rho (``_rho4``) and the run ends (``_run_ends``) computed
-    here, once.  A chain fold keeps both and extends them from level to
-    level (``limits._chain_rows``), so it calls the walker itself."""
-    return _walk_rows(datum, coeffs, _rho4(datum), _run_ends(coeffs), lo)
-
-
-def _run_ends(coeffs: Sequence[int]) -> list[int]:
-    """Where the maximal runs of equal entries of ``coeffs`` end: every i
-    with coeffs[i] != coeffs[i-1], in order, then len(coeffs)."""
-    ends = [i for i in range(1, len(coeffs)) if coeffs[i] != coeffs[i - 1]]
-    ends.append(len(coeffs))
-    return ends
-
-
-def _walk_rows(datum: SpaceDatum, coeffs: Sequence[int], r4: Sequence[int],
-               ends: Sequence[int], lo: int) -> Iterator[list[tuple[int, int, tuple[int, int]]]]:
     """The nontrivial factors (mu_alpha, 8 rho_alpha, (8x, 8y)) of each
-    f-index row j >= lo, one list per row: the single root s*f_j, then one
-    factor for each run [a, b) below j, a maximal range of indices i < j
-    with equal integer f-coefficients, standing for all its roots f_j - f_i,
-    and one for all its f_j + f_i where they occur.  An orbit of
-    multiplicity zero gives no factors, as its pattern entries are not roots.
-
-    ``r4`` is 4 rho (``_rho4``) and ``ends`` the run ends of ``coeffs``
-    (``_run_ends``), both from the caller: ``_rows`` computes them for one
-    weight, and a chain fold extends them in place from the level below
-    (``limits._chain_rows``).  The walk is lazy and reads len(coeffs) at
-    its start, so the caller finishes it before it extends the lists.
+    f-index row j >= lo of one weight's integer f-coefficients, one list per
+    row: the single root s*f_j, then one factor for each run [a, b) below j,
+    a maximal range of indices i < j with equal integer f-coefficients,
+    standing for all its roots f_j - f_i, and one for all its f_j + f_i
+    where they occur.  An orbit of multiplicity zero gives no factors, as
+    its pattern entries are not roots.
 
     A run telescopes.  The pair roots have no half roots, so x = 1/2 and
     y = m/2, and Legendre duplication (2 rho)_{2 mu} = 4^mu (rho)_mu
@@ -270,6 +245,9 @@ def _walk_rows(datum: SpaceDatum, coeffs: Sequence[int], r4: Sequence[int],
     s, sums, pair_orbit = ROOT_PATTERNS[datum.psi.label]
     single, pair = ((2 * (mh + 2), 2 * (mh + 2 * m)) if m or mh else None
                     for m, mh in map(datum.mults_for, (ORBIT_ALPHA1, pair_orbit)))
+    r4 = _rho4(datum)
+    # the run ends: every i with coeffs[i] != coeffs[i-1], then len(coeffs)
+    ends = [i for i in range(1, len(coeffs)) if coeffs[i] != coeffs[i - 1]] + [len(coeffs)]
     for j in range(lo, len(coeffs)):
         mj, rj = coeffs[j], r4[j]
         row = []

@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +26,6 @@ import numpy as np
 from . import __version__
 from .cfunc import c_oracle, c_value
 from .limits import (
-    ClassifyConfig,
     DirectSystem,
     c_sequence,
     classify,
@@ -91,13 +89,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         return tuple(int(piece) for piece in items)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 # --------------------------------------------------------------------------
@@ -168,7 +159,6 @@ _SCAN_KEYS = {
                "help": "base fundamental-weight coefficients, e.g. 1,0"},
     "p": {"type": int, "help": "fixed p for Grassmannian chains"},
     "max_level": {"type": int, "help": "highest level to scan (default 200)"},
-    "zero_floor": {"type": _parse_fraction},
     "batch": {"type": int},
     "csv": {"help": "write the level/value table here instead of stdout"},
 }
@@ -211,11 +201,9 @@ def cmd_limit_scan(args) -> int:
     if "family" not in merged or "coeffs" not in merged:
         raise ValueError("limit-scan needs family and coeffs (flags or config)")
     system = DirectSystem(merged["family"], merged["coeffs"], merged.get("p"))
-    # only the settings given are passed, so the defaults stay in one place
-    config = ClassifyConfig(**{f.name: merged[f.name] for f in fields(ClassifyConfig)
-                               if f.name in merged})
+    # only a batch given is passed, so the default stays in one place
     batch = {"batch": merged["batch"]} if "batch" in merged else {}
-    seq, report = classify_scan(system, merged["max_level"], config, **batch)
+    seq, report = classify_scan(system, merged["max_level"], **batch)
     csv_lines = ["level,c_num,c_den,c_float"]
     for level, value in zip(seq.levels, seq.values):
         csv_lines.append(f"{level},{fmt_int(value.numerator)},{fmt_int(value.denominator)},"
@@ -314,7 +302,9 @@ def _self_checks():
         assert list(seq.values) == [Fraction(1, r + 1) for r in range(1, 11)]
         report = classify(seq)
         assert report.verdict == "ZeroLimit"
-        assert report.evidence["certificate"] is not None
+        # c(n+1)/c(n) = 1 - 1/(n+2) = 1 - kappa/n + O(n^-2) with kappa = 1
+        certificate = report.evidence["certificate"]
+        assert certificate["ratio_limit"] == 1 and certificate["kappa"] == 1, certificate
 
     def rank_one_chain():
         _, report = classify_scan(DirectSystem("rank1-real", (1,)), max_level=150)

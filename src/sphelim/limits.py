@@ -5,9 +5,12 @@ level is the growing q) or infinite-rank (the level IS the rank).  Along a
 chain, a dominant weight propagates by keeping its fundamental-weight
 coefficients and zero-padding; the overlap constants then form a
 nonincreasing sequence whose limit is positive exactly in the finite-rank
-case.  ``classify`` decides which side of the dichotomy a computed sequence
-sits on, attaching the exact limit (``exact_limit``) in the finite-rank case
-and a divergence certificate in the infinite-rank case.
+case.  Both sides are read from one table per chain (``_chain_table``): at
+finite rank c(q) is a rational function of q, whose leading ratio is the
+exact limit (``exact_limit``); at infinite rank the step ratio
+c(n+1)/c(n) is a rational function of n, whose leading terms give an
+integer certificate that c tends to 0.  ``classify`` reads the verdict
+from that table.
 """
 
 from __future__ import annotations
@@ -19,18 +22,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .cfunc import _product, _root_terms, _rows, _run_ends, _walk_rows
+from .cfunc import _product, _root_terms, _rows
 from .rootdata import (
     FAMILIES,
-    ORBIT_ALPHA1,
-    ORBIT_MIDDLE,
-    RestrictedRoot,
-    RootSystemType,
     SpaceDatum,
     Weight,
     _f_ints_from_xi,
-    _rho4,
-    _rho4_from,
     build_space,
     pad_xi_coeffs,
     weight_from_xi,
@@ -38,7 +35,6 @@ from .rootdata import (
 
 VERDICT_POSITIVE = "PositiveLimit"
 VERDICT_ZERO = "ZeroLimit"
-VERDICT_UNDECIDED = "Undecided"
 
 MODE_FINITE = "finite_rank"
 MODE_INFINITE = "infinite_rank"
@@ -127,56 +123,14 @@ def _propagated_xi(system: DirectSystem, level: int) -> tuple[SpaceDatum, tuple[
     return datum, pad_xi_coeffs(system.base_coeffs, datum.rank)
 
 
-def _level_rows(system: DirectSystem, level: int) -> tuple[SpaceDatum, list[int], tuple[int, ...]]:
+def _level_rows(system: DirectSystem, level: int) -> tuple[SpaceDatum, list[int]]:
     """The datum at one level with the integer f-coefficients of the
-    propagated weight and of 4 rho; no Fractions are built."""
+    propagated weight; no Fractions are built."""
     datum, coeffs = _propagated_xi(system, level)
-    return datum, _f_ints_from_xi(datum.psi, coeffs), _rho4(datum)
+    return datum, _f_ints_from_xi(datum.psi, coeffs)
 
 
 _mults = operator.attrgetter("mult_middle", "mult_alpha1", "mult_half")
-
-
-def _chain_rows(system: DirectSystem, levels: Iterable[int],
-                ) -> Iterator[tuple[SpaceDatum, list[int], list[int], list[int], int]]:
-    """The rows of an infinite-rank chain at ascending levels, as one
-    growing state: (datum, f-coefficients, 4 rho, run ends, lo), where lo is
-    the ambient dimension of the level before (0 at the first level) and the
-    run ends are ``cfunc._run_ends`` of the coefficients.
-
-    The first level comes from ``_level_rows``.  Every later level extends
-    the lists in place, at a cost of O(1) plus its new indices: its datum is
-    built, its multiplicities are compared with the level below, and its
-    new entries are appended.  That comparison is the complete guard.  The
-    family fixes the root-system label, so with the multiplicities equal
-    ``_rho4_from`` gives every entry below lo as the level below had it,
-    2(2j m_pair + single), and lists the new ones.  The f-coefficients are
-    the running sum of ``_f_ints_from_xi`` over the xi-coefficients, whose
-    offset from the f-indices the label fixes, so the base coefficients fix
-    every old entry; the padded ones are 0, so each new entry equals the
-    last one.  So the last run grows to the new
-    ambient dimension, and no other run end moves.  A level whose
-    multiplicities differ, or one below the level before, raises
-    ArithmeticError; no catalog chain has one.
-
-    The lists are shared and keep growing: a consumer reads a level before
-    it asks for the next one, and copies nothing.
-    """
-    mults = coeffs = r4 = ends = None
-    for level in levels:
-        if coeffs is None:
-            datum, coeffs, r4 = _level_rows(system, level)
-            mults, r4, ends, lo = _mults(datum), list(r4), _run_ends(coeffs), 0
-        else:
-            datum = datum_at_level(system, level)
-            lo, n = len(coeffs), datum.psi.ambient_dim
-            if _mults(datum) != mults or n < lo:
-                raise ArithmeticError(
-                    f"internal error: level {level} does not extend the level below it")
-            coeffs += [coeffs[-1]] * (n - lo)
-            r4 += _rho4_from(datum, lo)
-            ends[-1] = n
-        yield datum, coeffs, r4, ends, lo
 
 
 @dataclass(frozen=True)
@@ -194,7 +148,7 @@ class CSequence:
         fresh = sorted(set(int(lv) for lv in more_levels) - set(self.levels))
         if not fresh:
             return self
-        values = tuple(value for value, _ in _values_at(self.system, fresh))
+        values = tuple(_values_at(self.system, fresh))
         merged = sorted(zip(self.levels + tuple(fresh), self.values + values))
         return CSequence(self.system,
                          tuple(lv for lv, _ in merged),
@@ -202,116 +156,127 @@ class CSequence:
 
 
 def _values_at(system: DirectSystem, levels: Iterable[int],
-               ) -> Iterator[tuple[Fraction, Fraction | tuple]]:
-    """Exact values at ascending levels, yielded one at a time, each with
-    what the verdict reads besides the values: on an infinite-rank chain the
-    rows it was computed from, (datum, f-coefficients, 4 rho), and on a
-    finite-rank chain its exact limit (``exact_limit``).  The rows' lists
-    are shared with the fold and grow with the next level, so a consumer
-    reads them before it asks for the next value.
+               table: tuple[Fraction, tuple] | None = None) -> Iterator[Fraction]:
+    """Exact values at ascending levels, yielded one at a time, from the
+    chain's ``_chain_table`` (read here unless the caller passes it).
 
-    Infinite rank: a level extends the one below it in place
-    (``_chain_rows``).  The multiplicities agree from level to level, and
-    the weight's f-coefficients, 4 rho and run ends only grow by new
-    trailing entries, so a value is the one before it times the factors of
-    the roots that reach the new indices (the one-step overlap
-    q(n+1, n)^2), which ``cfunc._walk_rows`` lists from the shared rows;
-    the first level is the whole product.  The new row's pair roots come
-    in runs of equal f-coefficients, one factor per run, so a level costs
-    O(its new indices + runs), not O(rank).  The comparison of the
-    multiplicities is the complete guard: a level that fails it raises
-    ArithmeticError; no catalog chain has one.
-
-    Finite rank (p fixed, level q): only the half-root multiplicity
-    m_half = d(q - p) moves with q (``rootdata.FAMILIES``), and 4 rho is
-    linear in the multiplicities (``_rho4``), so on every root 8 rho_alpha,
-    8 x_alpha = 2(m_half + 2) and 8 y_alpha = 2(m_half + 2m) are affine in
-    q, while mu_alpha depends only on the fixed weight.  For q >= p+1 the
-    root set is fixed as well (at q = p the half roots, and on grass-real
-    the single roots, have multiplicity zero).  So every root factor's
-    terms are affine in t = q - (p+1), and c(q) is one rational
-    function of q, which ``_grassmannian_table`` reads once per call; each
-    level above p is evaluated from it, and since Fraction is canonical the
-    value is the one ``c_value`` gives.  The level q = p is one whole
-    product.
+    The base level's value is the table's whole product.  Above it, a
+    finite-rank value c(q) is the table's rational function at t = q - p - 1,
+    and an infinite-rank value is the one below it times the step ratio
+    c(n+1)/c(n), the table's rational function at t = n - b, so a level
+    costs a fixed number of small linear forms, not a row of rank n.  Since
+    Fraction is canonical, every value is the one ``c_value`` gives.
     """
-    if system.mode == MODE_FINITE:
-        p, table = system.fixed_p, _grassmannian_table(system)
-        const_num, const_den, num, den = table
-        limit = _table_limit(table)
-        for level in levels:
-            if level <= p:  # q = p; _level_rows rejects a level below it
-                datum, coeffs, _ = _level_rows(system, level)
-                yield Fraction(*_product(_rows(datum, coeffs, 0))), limit
-                continue
-            t = level - p - 1
-            yield Fraction(const_num * math.prod(a * t + b for a, b in num),
-                           const_den * math.prod(a * t + b for a, b in den)), limit
-        return
-    value = Fraction(1)
-    for datum, coeffs, r4, ends, lo in _chain_rows(system, levels):
-        value *= Fraction(*_product(_walk_rows(datum, coeffs, r4, ends, lo)))
-        yield value, (datum, coeffs, r4)
+    value, forms = table or _chain_table(system)
+    base, top = system.base_level, system.base_level
+    finite = system.mode == MODE_FINITE
+    for level in levels:
+        if level < base:
+            raise ValueError(f"level {level} is below the base level {base}")
+        if finite:
+            yield value if level == base else _evaluate(forms, level - base - 1)
+            continue
+        for t in range(top - base, level - base):
+            value *= _evaluate(forms, t)
+        top = level
+        yield value
+
+
+def _evaluate(forms: tuple[int, int, list, list], t: int) -> Fraction:
+    const_num, const_den, num, den = forms
+    return Fraction(const_num * math.prod(a * t + b for a, b in num),
+                    const_den * math.prod(c * t + d for c, d in den))
 
 
 def exact_limit(system: DirectSystem) -> Fraction:
     """The exact limit of c(q) as q -> oo on a finite-rank chain: the ratio
     C_n prod a / (C_d prod c) of the leading coefficients of its
-    ``_grassmannian_table``, 4^-|lambda| / P_lambda^(2/d)(1^p) on every
-    chain tested, as the BC -> A limit transition of Rosler, Koornwinder
-    and Voit (Compositio Math. 149 (2013)) predicts.  Raises ValueError on
-    an infinite-rank chain, ArithmeticError if c(q) has unequal degrees."""
+    ``_chain_table``, 4^-|lambda| / P_lambda^(2/d)(1^p) on every chain
+    tested, as the BC -> A limit transition of Rosler, Koornwinder and Voit
+    (Compositio Math. 149 (2013)) predicts.  Raises ValueError on an
+    infinite-rank chain, ArithmeticError if c(q) has unequal degrees."""
     if system.mode != MODE_FINITE:
         raise ValueError(f"family {system.family!r} grows in rank; its limit is not a table's")
-    return _table_limit(_grassmannian_table(system))
+    return _table_limit(_chain_table(system)[1])
 
 
-def _table_limit(table: tuple[int, int, list, list]) -> Fraction:
-    const_num, const_den, num, den = table
+def _table_limit(forms: tuple[int, int, list, list]) -> Fraction:
+    """The limit of the table's rational function as t -> oo."""
+    const_num, const_den, num, den = forms
     if len(num) != len(den):
-        raise ArithmeticError(f"internal error: c(q) has degree {len(num)} over {len(den)} in q")
+        raise ArithmeticError(f"internal error: the table has degree {len(num)} over {len(den)}")
     return Fraction(const_num * math.prod(a for a, _ in num),
                     const_den * math.prod(c for c, _ in den))
 
 
-def _grassmannian_table(system: DirectSystem) -> tuple[int, int, list, list]:
-    """c(q) on a finite-rank chain for q >= p+1 as (C_n, C_d, num, den):
-    c(p+1+t) = C_n prod(a t + b) / (C_d prod(c t + d)) over the integer
-    linear forms (a, b) in ``num`` and (c, d) in ``den``.
+def _chain_table(system: DirectSystem) -> tuple[Fraction, tuple[int, int, list, list]]:
+    """The values of a chain in closed form: (c(b), (C_n, C_d, num, den))
+    with b the base level and C_n prod(a t + b) / (C_d prod(c t + d)) over
+    the integer linear forms (a, b) in ``num`` and (c, d) in ``den`` equal
+    to c(p+1+t) on a finite-rank chain and to c(b+t+1)/c(b+t) on an
+    infinite-rank one, for every t >= 0.
 
-    Each factor's integer terms (``cfunc._root_terms`` of the factors that
-    ``cfunc._rows`` lists: one per root s*f_j and one per run of pair roots,
-    whose run lengths depend only on the fixed weight) are read at q = p+1,
-    p+2 and p+3.  Every term is affine in t (see ``_values_at``), so its
-    values t1, t2 at q = p+1, p+2 give the form (t2 - t1) t + t1, once
-    t3 - t2 = t2 - t1 is checked at q = p+3.  Every form is divided by its
-    content, the contents go into C_n and C_d, and equal forms cancel.
-    Raises ArithmeticError if a factor is not affine or a form could turn
-    nonpositive at some t >= 0.
+    c(b) is the whole product at the base level.  The forms are read from
+    the factors (``cfunc._rows``) of the next three levels, each factor as
+    its integer terms (``cfunc._root_terms``).
+
+    Finite rank (p fixed, level q): only the half-root multiplicity
+    m_half = d(q - p) moves with q (``rootdata.FAMILIES``), and 4 rho is
+    linear in the multiplicities, so on every root 8 rho_alpha,
+    8 x_alpha = 2(m_half + 2) and 8 y_alpha = 2(m_half + 2m) are affine in
+    q, while mu_alpha depends only on the fixed weight.  For q >= p+1 the
+    root set is fixed as well (at q = p the half roots, and on grass-real
+    the single roots, have multiplicity zero), and a run of pair roots has
+    a length fixed by the weight.  So all the factors of c(q) are read.
+
+    Infinite rank (level n, the rank): each level adds one f-index, and
+    with the multiplicities fixed along the chain, every root below it keeps
+    its factor, so c(n+1)/c(n) is the product of the rows j >= lo, the
+    ambient dimension of level n: the new row, with one root s*f_j and one
+    factor per run of equal f-coefficients below it.  The new index extends
+    the last run, so the runs below it are those of level n, which the base
+    weight fixes; mu_alpha is fixed, and rho_alpha and the last run's
+    length grow by a fixed step per level.  A level read whose
+    multiplicities differ from the level below raises ArithmeticError; no
+    catalog chain has one, as every infinite-rank family's are constants.
+
+    Either way every term is affine in t, so its values t1, t2 at the first
+    two readings give the form (t2 - t1) t + t1, once t3 - t2 = t2 - t1 is
+    checked at the third.  Every form is divided by its content, the
+    contents go into C_n and C_d, and equal forms cancel.  Raises
+    ArithmeticError if the factors change in number, a term is not affine,
+    or a form could turn nonpositive at some t >= 0.
     """
-    p = system.fixed_p
-    factors = []
-    for q in (p + 1, p + 2, p + 3):
-        datum, coeffs, _ = _level_rows(system, q)
-        factors.append([_root_terms(mu, rho8, x8, y8, 8) for row in _rows(datum, coeffs, 0)
-                        for mu, rho8, (x8, y8) in row])
-    if len({len(level) for level in factors}) != 1:
-        raise ArithmeticError("internal error: the root set moves with q above q = p")
+    infinite = system.mode == MODE_INFINITE
+    base = system.base_level
+    readings, mults, lo = [], None, 0
+    for level in range(base, base + 4):
+        datum, coeffs = _level_rows(system, level)
+        if level == base:
+            value = Fraction(*_product(_rows(datum, coeffs, 0)))
+        elif infinite and _mults(datum) != mults:
+            raise ArithmeticError(
+                f"internal error: level {level} does not extend the level below it")
+        else:
+            readings.append([_root_terms(mu, rho8, x8, y8, 8) for row in _rows(datum, coeffs, lo)
+                             for mu, rho8, (x8, y8) in row])
+        mults, lo = _mults(datum), len(coeffs) if infinite else 0
+    if len({len(reading) for reading in readings}) != 1:
+        raise ArithmeticError("internal error: the root set moves with the level")
     num, den = [], []
-    for first, second, third in zip(*factors):
+    for first, second, third in zip(*readings):
         for forms, t1, t2, t3 in zip((num, den), first, second, third):
             slopes = [b - a for a, b in zip(t1, t2)]
             if (not len(t1) == len(t2) == len(t3)
                     or slopes != [c - b for b, c in zip(t2, t3)]):
-                raise ArithmeticError(
-                    "internal error: a root factor is not affine in q above q = p")
+                raise ArithmeticError("internal error: a root factor is not affine in the level")
             forms += zip(slopes, t1)
     const_num, num = _primitive_forms(num)
     const_den, den = _primitive_forms(den)
     common = num & den
     g = math.gcd(const_num, const_den)
-    return (const_num // g, const_den // g,
-            sorted((num - common).elements()), sorted((den - common).elements()))
+    return value, (const_num // g, const_den // g,
+                   sorted((num - common).elements()), sorted((den - common).elements()))
 
 
 def _primitive_forms(forms: Iterable[tuple[int, int]]) -> tuple[int, Counter]:
@@ -322,7 +287,7 @@ def _primitive_forms(forms: Iterable[tuple[int, int]]) -> tuple[int, Counter]:
     content, out = 1, Counter()
     for a, b in forms:
         if a < 0:
-            raise ArithmeticError("internal error: a linear form in q decreases")
+            raise ArithmeticError("internal error: a linear form of the table decreases")
         g = math.gcd(a, b)
         content *= g
         if a:
@@ -375,138 +340,54 @@ def divergence_certificate(a: Sequence, x: Sequence, L: int, N: int,
     return product
 
 
-def decay_bound(epsilon, delta, L: int, N: int) -> float:
-    """exp(-(epsilon/2) * sum_{j=L}^{N} 1/(delta+j)); comparison schedule."""
-    eps = float(epsilon)
-    dlt = float(delta)
-    return math.exp(-0.5 * eps * math.fsum(1.0 / (dlt + j) for j in range(L, N + 1)))
+def _decay_certificate(base: int, forms: tuple[int, int, list, list]) -> dict:
+    """Why c(n) -> 0 on an infinite-rank chain, in integers, from its step
+    ratio R(n) = c(n+1)/c(n) = P(t)/Q(t), t = n - base (``_chain_table``).
 
-
-# Lowest level at which each label's witness root exists; the witness for
-# base coefficient index k also needs level >= k.
-_WITNESS_FLOOR = {"A": 1, "B": 1, "C": 2, "D": 3}
-
-
-def infinite_rank_root_sequence(psi_type, level: int, base_coeff_index: int = 1) -> RestrictedRoot:
-    """The witness root used to prove decay along an infinite-rank chain.
-
-    At level n (= rank) the root pairs to 1 with the propagated fundamental
-    weight of index ``base_coeff_index``, has no half root, and its pairing
-    with the half-sum weight grows affinely in n: f_{n+1}-f_1 for A,
-    f_n (index 1) or f_n-f_1 (index > 1) for B, f_n+f_1 for C, f_n+f_2
-    for D.
+    The ratio tends to l = ``_table_limit``.  If l < 1, take r = (1+l)/2 =
+    u/v: u Q - v P has a positive leading coefficient, so past the Cauchy
+    bound of its roots it is positive, and R(n) < r from that level N on,
+    so c(n) <= c(N) r^(n-N).  If l = 1, then R(n) = 1 - kappa/n + O(n^-2)
+    with kappa = (Q_(D-1) - P_(D-1)) / Q_D from the second coefficients;
+    for kappa > 0, 2n(Q - P) - kappa Q has the leading coefficient kappa
+    Q_D > 0, so past its Cauchy bound R(n) < 1 - kappa/(2n), and c(n) -> 0
+    because the sum of 1/n diverges.  The paper's theorem makes c tend to 0
+    on every infinite-rank chain with a nonzero weight, so l > 1, or l = 1
+    with kappa <= 0, raises ArithmeticError, as unequal degrees do.
     """
-    label = psi_type.label if isinstance(psi_type, RootSystemType) else str(psi_type)
-    n, k = int(level), int(base_coeff_index)
-    if k < 1:
-        raise ValueError("base_coeff_index is 1-based")
-    if label not in _WITNESS_FLOOR:
-        raise ValueError(f"unknown root-system label {label!r}")
-    floor = max(k, _WITNESS_FLOOR[label])
-    if n < floor:
-        raise ValueError(f"{label} witness needs level >= {floor}")
-    entries, orbit = _witness_root(label, n, k)
-    return RestrictedRoot(n + 1 if label == "A" else n, entries, orbit)
+    const_num, const_den, num, den = forms
+    ell = _table_limit(forms)
+    p, q = _poly(const_num, num), _poly(const_den, den)
+    if ell < 1:
+        r = (1 + ell) / 2
+        gap = [r.numerator * b - r.denominator * a for a, b in zip(p, q)]
+        return {"ratio_limit": ell, "ratio_bound": r, "from_level": base + _cauchy_bound(gap)}
+    kappa = Fraction(q[-2] - p[-2], q[-1]) if len(q) > 1 else Fraction(0)
+    if ell > 1 or kappa <= 0:
+        raise ArithmeticError(f"internal error: the step ratio tends to {ell} with kappa "
+                              f"{kappa}, so an infinite-rank chain would not tend to 0")
+    # 2n(Q - P) - kappa Q at n = t + base, times kappa's denominator; Q - P
+    # has degree D - 1, as P and Q have the same leading coefficient
+    diff = [2 * kappa.denominator * (b - a) for a, b in zip(p[:-1], q[:-1])]
+    gap = [base * d + lower - kappa.numerator * b
+           for d, lower, b in zip(diff + [0], [0] + diff, q)]
+    return {"ratio_limit": ell, "kappa": kappa, "from_level": base + _cauchy_bound(gap)}
 
 
-def _witness_root(label: str, n: int, k: int) -> tuple[tuple[tuple[int, int], ...], str]:
-    """The entries and orbit of ``infinite_rank_root_sequence``, unchecked."""
-    if label == "A":
-        return ((0, -1), (n, 1)), ORBIT_ALPHA1
-    if label == "B":
-        if k == 1:
-            return ((n - 1, 1),), ORBIT_ALPHA1
-        return ((0, -1), (n - 1, 1)), ORBIT_MIDDLE
-    if label == "C":
-        return ((0, 1), (n - 1, 1)), ORBIT_MIDDLE
-    return ((1, 1), (n - 1, 1)), ORBIT_ALPHA1
+def _poly(content: int, forms: Iterable[tuple[int, int]]) -> list[int]:
+    """content * prod(a t + b) as integer coefficients, lowest degree first."""
+    out = [content]
+    for a, b in forms:
+        out = [b * c + a * lower for c, lower in zip(out + [0], [0] + out)]
+    return out
 
 
-def _witness(system: DirectSystem) -> tuple[str, int, int] | None:
-    """The root-system label, the witness index k0 (the first nonzero base
-    coefficient, 1-based) and the first witness level of an infinite-rank
-    chain; None for a finite-rank chain or the zero weight, which have no
-    certificate."""
-    k0 = next((i + 1 for i, c in enumerate(system.base_coeffs) if c), None)
-    if system.mode != MODE_INFINITE or k0 is None:
-        return None
-    label = FAMILIES[system.family].psi_label
-    return label, k0, max(k0, _WITNESS_FLOOR[label])
-
-
-def _witness_pairing(witness: tuple[str, int, int], level: int,
-                     rows: tuple[SpaceDatum, Sequence[int], Sequence[int]],
-                     ) -> tuple[int, int, int] | None:
-    """The per-level step of the certificate: one witness level's rows
-    (datum, f-coefficients, 4 rho) reduced, through the entries of its
-    witness root (``infinite_rank_root_sequence``), to the integers n,
-    R = <4 rho, alpha> = 4|alpha|^2 rho_alpha and K = 2m|alpha|^2 =
-    4|alpha|^2 y_alpha.  None
-    where the level cannot serve: a half root, no witness root, or
-    mu_alpha < 1."""
-    label, k0, _ = witness
-    datum, coeffs, r4 = rows
-    entries, orbit = _witness_root(label, level, k0)
-    m, mh = datum.mults_for(orbit)
-    norm_sq = mu = r = 0
-    for i, v in entries:
-        norm_sq, mu, r = norm_sq + v * v, mu + v * coeffs[i], r + v * r4[i]
-    if mh != 0 or m <= 0 or mu < norm_sq:
-        return None
-    return level, r, 2 * m * norm_sq
-
-
-def _certificate_evidence(system: DirectSystem, pairings: Sequence[tuple[int, int, int] | None],
-                          last_value: Fraction) -> dict | None:
-    """Build divergence evidence from the witness pairings (n, R, K), one
-    per witness level in level order, as ``_witness_pairing`` gives them.
-
-    With K the same at every level, the factor (1 + y_alpha/rho_alpha)^(-1)
-    is R/(R + K), and the affine test rho_alpha = t n + s is
-    cross-multiplied in integers.  Once it holds, the schedule term
-    1/(1 + epsilon/(delta + j)) at epsilon = y/t, delta = shift + s/t and
-    j = n - shift is that factor, so the product needs no second derivation
-    through ``divergence_certificate``.
-
-    Returns None when the pairings cannot support it (too few usable
-    levels, a level that cannot serve, or the affine/bound checks fail).
-    """
-    if len(pairings) < 2 or None in pairings:
-        return None
-    label, k0, _ = _witness(system)
-    K = pairings[0][2]
-    if any(k != K for _, _, k in pairings):
-        return None  # y_alpha is not constant
-    # |alpha|^2 is fixed by the label and k0
-    norm_sq = infinite_rank_root_sequence(label, pairings[0][0], k0).norm_sq()
-    (n1, r1, _), (n2, r2, _) = pairings[:2]
-    if r2 <= r1 or any((r - r1) * (n2 - n1) != (r2 - r1) * (n - n1) for n, r, _ in pairings):
-        return None  # rho_alpha is not affine with positive slope
-    t = Fraction(r2 - r1, 4 * norm_sq * (n2 - n1))
-    s = Fraction(r1, 4 * norm_sq) - t * n1
-    shift = max(0, math.ceil(-s / t))
-    usable = [(n, r) for n, r, _ in pairings if n - shift >= 1]  # shifted index starts at 1
-    if len(usable) < 2:
-        return None
-    epsilon = Fraction(K, 4 * norm_sq) / t
-    delta = shift + s / t
-    js = [level - shift for level, _ in usable]
-    if epsilon / (delta + js[0]) > Fraction(5, 2):
-        return None
-    partial = Fraction(math.prod(r for _, r in usable), math.prod(r + K for _, r in usable))
-    contiguous = js == list(range(js[0], js[-1] + 1))
-    return {
-        "witness_levels": [level for level, _ in usable],
-        "witness_index": k0,
-        "rho_slope": t,
-        "rho_intercept": s,
-        "epsilon": epsilon,
-        "delta": delta,
-        "index_shift": shift,
-        "partial_product": partial,
-        "decay_bound": decay_bound(epsilon, delta, js[0], js[-1]) if contiguous else None,
-        "last_value_below_partial": last_value <= partial,
-    }
+def _cauchy_bound(poly: list[int]) -> int:
+    """The least integer T >= 1 + max |c_i| / c_lead (0 for a constant):
+    every real root lies below Cauchy's bound, so a polynomial with a
+    positive leading coefficient is positive for every t >= T."""
+    *lower, lead = poly
+    return 1 + max((-(-abs(c) // lead) for c in lower), default=-1)
 
 
 # --------------------------------------------------------------------------
@@ -514,54 +395,27 @@ def _certificate_evidence(system: DirectSystem, pairings: Sequence[tuple[int, in
 
 
 @dataclass(frozen=True)
-class ClassifyConfig:
-    """The threshold of the infinite-rank verdict: crossing ``zero_floor``
-    yields ZeroLimit even without a certificate."""
-
-    zero_floor: Fraction = Fraction(1, 10 ** 6)
-
-    def __post_init__(self):
-        object.__setattr__(self, "zero_floor", Fraction(self.zero_floor))
-        if self.zero_floor <= 0:
-            raise ValueError("zero_floor must be positive")
-
-
-@dataclass(frozen=True)
 class ConvergenceReport:
     verdict: str
-    limit_estimate: float | None
+    limit_estimate: float
     evidence: dict = field(compare=False)
 
-    @property
-    def decided(self) -> bool:
-        return self.verdict != VERDICT_UNDECIDED
 
-
-def classify(seq: CSequence, config: ClassifyConfig | None = None) -> ConvergenceReport:
-    """Decide the limit of an overlap sequence.
+def classify(seq: CSequence) -> ConvergenceReport:
+    """Decide the limit of an overlap sequence from its chain's table.
 
     Finite-rank chains converge to a positive limit: the verdict reports
-    ``exact_limit`` in its evidence and its float as ``limit_estimate``,
-    and is never Undecided.  Infinite-rank chains with a nonzero weight
-    decay to zero: the verdict comes from the witness-root certificate or
-    from crossing the floor, whichever is available.  Anything else stays
-    Undecided with a request for more levels.
-
-    The witness pairings are read from the rows of the witness levels as
-    ``_chain_rows`` extends them, each level in place from the one below,
-    so a level past the first costs O(its new indices), not O(rank).
+    ``exact_limit`` in its evidence and its float as ``limit_estimate``.
+    Infinite-rank chains with a nonzero weight tend to zero: the verdict
+    carries the step-ratio certificate (``_decay_certificate``).  The zero
+    weight gives 1 at every level on either kind.  No verdict waits for
+    more levels: the table decides at any length.
     """
     if not seq.levels:
         raise ValueError("empty sequence")
     for earlier, later in zip(seq.values, seq.values[1:]):
         _check_step(earlier, later)
-    if seq.system.mode == MODE_FINITE:
-        return _decide(seq, config or ClassifyConfig(), exact_limit(seq.system))
-    witness = _witness(seq.system)
-    levels = [level for level in seq.levels if witness and level >= witness[2]]
-    pairings = [_witness_pairing(witness, level, rows[:3])
-                for level, rows in zip(levels, _chain_rows(seq.system, levels))]
-    return _decide(seq, config or ClassifyConfig(), pairings)
+    return _decide(seq, _chain_table(seq.system)[1])
 
 
 def _check_step(earlier: Fraction, later: Fraction) -> None:
@@ -573,80 +427,56 @@ def _check_step(earlier: Fraction, later: Fraction) -> None:
         )
 
 
-def _decide(seq: CSequence, config: ClassifyConfig,
-            limit_or_pairings: Fraction | Sequence[tuple[int, int, int] | None],
-            ) -> ConvergenceReport:
+def _decide(seq: CSequence, forms: tuple[int, int, list, list]) -> ConvergenceReport:
     """The verdict of ``classify`` on a nonempty, checked nonincreasing
-    sequence, given a finite-rank chain's exact limit, which must lie in
-    (0, last value], or the witness pairings of its witness levels."""
+    sequence, given the forms of its chain's ``_chain_table``.  A
+    finite-rank limit must lie in (0, last value]; the zero weight
+    (``DirectSystem.trivial``) is constant one, whatever the values read."""
+    system = seq.system
     last_level, last_value = seq.last()
-    base_evidence = {
-        "mode": seq.system.mode,
+    evidence = {
+        "mode": system.mode,
         "levels_scanned": len(seq.levels),
         "last_level": last_level,
         "last_value": last_value,
     }
-    if seq.system.mode == MODE_FINITE:
-        limit = base_evidence["limit"] = limit_or_pairings
+    if system.mode == MODE_FINITE:
+        limit = evidence["limit"] = _table_limit(forms)
         if not 0 < limit <= last_value:
             raise ArithmeticError(f"internal error: the limit {limit} is not in "
                                   f"(0, {last_value}], the value at level {last_level}")
-        if limit < 1:  # a limit of 1 makes every value 1
-            return ConvergenceReport(VERDICT_POSITIVE, float(limit), base_evidence)
-    # nonincreasing, so every value is 1 exactly when the first and last are
-    if seq.values[0] == 1 and last_value == 1:
-        return ConvergenceReport(VERDICT_POSITIVE, 1.0,
-                                 base_evidence | {"constant_one": True})
-    certificate = _certificate_evidence(seq.system, limit_or_pairings, last_value)
-    floor_crossed = last_value < config.zero_floor
-    if certificate is not None or floor_crossed:
-        return ConvergenceReport(VERDICT_ZERO, 0.0, base_evidence | {
-            "floor": config.zero_floor,
-            "floor_crossed": floor_crossed,
-            "certificate": certificate,
-        })
-    return ConvergenceReport(VERDICT_UNDECIDED, None, base_evidence | {
-        "request": "more levels",
-        "reason": "no divergence certificate yet and the floor was not crossed",
-    })
+    if system.trivial:
+        return ConvergenceReport(VERDICT_POSITIVE, 1.0, evidence | {"constant_one": True})
+    if system.mode == MODE_FINITE:
+        return ConvergenceReport(VERDICT_POSITIVE, float(limit), evidence)
+    return ConvergenceReport(VERDICT_ZERO, 0.0, evidence | {
+        "certificate": _decay_certificate(system.base_level, forms)})
 
 
 def classify_scan(system: DirectSystem, max_level: int,
-                  config: ClassifyConfig | None = None,
                   batch: int = 25, max_workers: int = 1) -> tuple[CSequence, ConvergenceReport]:
-    """Scan the chain from its base level up, one level at a time, until the
-    verdict is decided or ``max_level`` is reached.  Returns the scanned
-    sequence and the final report.
+    """Scan the chain's first ``batch`` levels from its base level up (at
+    most to ``max_level``) and decide.  Returns the scanned sequence and its
+    report.
 
-    Values come from one serial fold, and each is checked against the one
-    below it as it arrives.  On an infinite-rank chain each level's rows are
-    reduced to the level's witness pairing as the level arrives, so the scan
-    builds every level once and keeps a few integers per level for the
-    certificate; a finite-rank scan reads its table and exact limit once,
-    builds at most four spaces and decides at its first verdict.  The
-    verdict is taken every ``batch`` levels and at ``max_level``, so
-    ``batch`` sets where a scan may stop, never the value at a level.
-    ``max_workers`` is ignored: every scan is serial.  It stays because the
-    benchmark harness in ``perfbench/`` passes ``max_workers=1``, and that
-    harness must run unchanged on every revision it compares.
+    The chain's table is read once, for the values and the verdict, so a
+    scan builds at most four spaces whatever its length; each value is
+    checked against the one below it as it arrives.  ``batch`` sets where
+    the scan stops, never the value at a level.  ``max_workers`` is
+    ignored: every scan is serial.  It stays because the benchmark harness
+    in ``perfbench/`` passes ``max_workers=1``, and that harness must run
+    unchanged on every revision it compares.
     """
-    config = config or ClassifyConfig()
     if max_level < system.base_level:
         raise ValueError("max_level is below the base level")
     if batch < 1:
         raise ValueError("batch must be at least 1")
-    levels = range(system.base_level, max_level + 1)
-    witness = _witness(system)
-    finite = system.mode == MODE_FINITE
-    values, pairings = [], []
-    for level, (value, rows_or_limit) in zip(levels, _values_at(system, levels)):
+    levels = range(system.base_level, min(max_level, system.base_level + batch - 1) + 1)
+    table = _chain_table(system)
+    values = []
+    for value in _values_at(system, levels, table):
         if values:
             _check_step(values[-1], value)
         values.append(value)
-        if witness and level >= witness[2]:
-            pairings.append(_witness_pairing(witness, level, rows_or_limit))
-        if len(values) % batch == 0 or level == max_level:
-            seq = CSequence(system, tuple(levels[:len(values)]), tuple(values))
-            report = _decide(seq, config, rows_or_limit if finite else pairings)
-            if report.decided or level == max_level:
-                return seq, report
+    seq = CSequence(system, tuple(levels), tuple(values))
+    return seq, _decide(seq, table[1])

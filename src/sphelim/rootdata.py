@@ -445,12 +445,7 @@ def _as_f_vector(obj, lam) -> tuple[Fraction, ...]:
 
 @functools.lru_cache(maxsize=256)
 def _rho4(datum: SpaceDatum) -> tuple[int, ...]:
-    """4 * rho in f-coefficients (always integral), from ``_rho4_from``."""
-    return tuple(_rho4_from(datum, 0))
-
-
-def _rho4_from(datum: SpaceDatum, lo: int) -> list[int]:
-    """The entries j >= lo of 4 * rho, without the ones below lo.
+    """4 * rho in f-coefficients (always integral).
 
     rho is half the multiplicity-weighted sum of all positive restricted
     roots, halves included.  In 2rho_j the differences f_j - f_i give
@@ -463,7 +458,7 @@ def _rho4_from(datum: SpaceDatum, lo: int) -> list[int]:
     s, _, pair_orbit = ROOT_PATTERNS[datum.psi.label]
     m_pair = datum.mults_for(pair_orbit)[0]
     single = s * datum.mult_alpha1 + datum.mult_half
-    return [2 * (2 * j * m_pair + single) for j in range(lo, datum.psi.ambient_dim)]
+    return tuple(2 * (2 * j * m_pair + single) for j in range(datum.psi.ambient_dim))
 
 
 @functools.lru_cache(maxsize=256)

@@ -93,8 +93,9 @@ def inverse_weyl_dimension(label: str, mu_f) -> Fraction:
     rho2 = {"A": [2 * i for i in range(n)], "B": [2 * i + 1 for i in range(n)],
             "C": [2 * i + 2 for i in range(n)], "D": [2 * i for i in range(n)]}[label]
     shifted = [m + r for m, r in zip(mu, rho2)]
-    num = den = 1
-    for j in range(n):
+    value = Fraction(1)
+    for j in range(n):  # one row of roots at a time, reduced, to keep it small
+        num = den = 1
         for i in range(j):
             num *= shifted[j] - shifted[i]
             den *= rho2[j] - rho2[i]
@@ -104,7 +105,8 @@ def inverse_weyl_dimension(label: str, mu_f) -> Fraction:
         if label in "BC":
             num *= shifted[j]
             den *= rho2[j]
-    return Fraction(den, num)
+        value *= Fraction(den, num)
+    return value
 
 
 def jack_at_ones(lam, p: int, alpha) -> Fraction:

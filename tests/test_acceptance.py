@@ -16,7 +16,6 @@ import pytest
 from helpers import instances_at_rank, oracle_grid_instances
 from sphelim.cfunc import c_gamma, c_value, overlap_q_squared
 from sphelim.limits import (
-    ClassifyConfig,
     DirectSystem,
     c_sequence,
     classify_scan,

@@ -142,7 +142,21 @@ class TestLimitScan:
         assert "level,c_num,c_den,c_float" in out
         report = last_json(out)
         assert report["verdict"] == "ZeroLimit"
-        assert report["evidence"]["certificate"]["epsilon"] == "1/1"
+        # c(n+1)/c(n) = (n+1)/(n+2): the step ratio tends to 1 with kappa 1
+        assert report["evidence"]["certificate"]["ratio_limit"] == "1/1"
+        assert report["evidence"]["certificate"]["kappa"] == "1/1"
+
+    def test_constant_one_reads_the_weight(self, capsys):
+        # c = 1 at the first level of sp-over-u, but the weight is not zero,
+        # so one level decides ZeroLimit; c then falls to 3/8, 1/8, 5/128
+        code, out, _ = run_cli(capsys, "limit-scan", "--family", "sp-over-u",
+                               "--coeffs", "1", "--batch", "1")
+        assert code == 0
+        assert out.splitlines()[1] == "1,1,1,1"
+        report = last_json(out)
+        assert report["verdict"] == "ZeroLimit"
+        assert report["limit_estimate"] == 0.0
+        assert "constant_one" not in report["evidence"]
 
     def test_byte_deterministic_reruns(self, capsys):
         argv = ["limit-scan", "--family", "grass-real", "--coeffs", "1,1",
@@ -174,7 +188,7 @@ class TestLimitScan:
     def test_config_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         for line in ("familly = rank1-real", "workers = 2", "positive_floor = 0",
-                     "window = 5", "rtol = 1e-4"):
+                     "window = 5", "rtol = 1e-4", "zero_floor = 1/100"):
             cfg.write_text(f"family = rank1-real\ncoeffs = 1\n{line}\n")
             code, _, err = run_cli(capsys, "limit-scan", "--config", str(cfg))
             assert code == 2
@@ -187,7 +201,7 @@ class TestLimitScan:
         assert code == 2 and out == ""
         assert err == f"error: {cfg}:4: expected key=value\n"
 
-    @pytest.mark.parametrize("line", ["coeffs = a,b", "coeffs = ,", "zero_floor = 1/0"])
+    @pytest.mark.parametrize("line", ["coeffs = a,b", "coeffs = ,"])
     def test_config_bad_value(self, capsys, tmp_path, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"family = group-su\n{line}\n")
@@ -195,15 +209,15 @@ class TestLimitScan:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {cfg}:2: bad ")
 
-    @pytest.mark.parametrize("flags", [["--coeffs", "a,b"], ["--coeffs", ","],
-                                       ["--coeffs", "1", "--zero-floor", "1/0"]])
+    @pytest.mark.parametrize("flags", [["--coeffs", "a,b"], ["--coeffs", ","]])
     def test_bad_flag_value(self, capsys, flags):
         with pytest.raises(SystemExit) as exc:
             main(["limit-scan", "--family", "group-su", *flags])
         assert exc.value.code == 2
         assert f"error: argument {flags[-2]}:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--workers", "--positive-floor", "--window", "--rtol"])
+    @pytest.mark.parametrize("flag", ["--workers", "--positive-floor", "--window", "--rtol",
+                                      "--zero-floor"])
     def test_removed_flags(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
             main(["limit-scan", "--family", "rank1-real", "--coeffs", "1", flag, "2"])
@@ -221,16 +235,19 @@ class TestLimitScan:
         ("rank1-real --coeffs 1 --max-level 150 --batch 7",
          "6247e459018d1a22f3c772ff925fc6c63c27e19742e326ccc1352b17650870c6"),
         ("group-sp --coeffs 1,1 --max-level 60",
-         "8112b01d210a5d55d35968f807f589aea553e1dcc60caff11e44b344e96ed64f"),
+         "ce54ef25a6c7835fd1c6c79a1f5f2be184072a04f379778454790fc439171fda"),
         ("grass-quaternion --p 3 --coeffs 1,1,1 --max-level 2000",
          "ed43336be53db0398d11704d5da95c520f99e448dca19d80a821716cc1ef11d8"),
     ])
     def test_pinned_bytes(self, capsys, argv, digest):
-        # stdout is documented as byte-deterministic.  The group-sp digest was
-        # taken before the scan became a single fold and must not move.  The
-        # two finite-rank digests were taken when the verdict came to read
-        # the exact limit and so to decide at the first batch (levels 1..7
-        # and 3..27, evidence["limit"] 1/4 and 5/172032); they must not move
+        # stdout is documented as byte-deterministic.  The two finite-rank
+        # digests were taken when the verdict came to read the exact limit
+        # and so to decide at the first batch (levels 1..7 and 3..27,
+        # evidence["limit"] 1/4 and 5/172032).  The group-sp digest was
+        # re-pinned when the certificate came to read the step-ratio table:
+        # its table and verdict are unchanged, and its evidence carries that
+        # certificate (limit 1/16, bound 17/32 from level 44) and no floor.
+        # None of them may move
         code, out, _ = run_cli(capsys, "limit-scan", "--family", *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
