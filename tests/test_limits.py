@@ -468,22 +468,41 @@ class TestStepTable:
             assert cert["ratio_limit"] == Fraction(1, 2 if spin else 4)
             assert cert["ratio_bound"] == (1 + cert["ratio_limit"]) / 2
 
-    def test_certificate_inequality_holds(self):
-        # from the certificate's level N on, every exact step ratio is at
-        # most r, or at most 1 - kappa/(2n); checked to level 300 where N is
-        # at most 300, on all but three chains, whose small limits 1/512,
+    @pytest.mark.parametrize("system", ROW_SYSTEMS, ids=ROW_IDS)
+    def test_certificate_inequality_holds(self, system):
+        # from the certificate's level N on, every step ratio is at most r,
+        # or at most 1 - kappa/(2n).  Where N is at most 300 the exact ratios
+        # c(n+1)/c(n) are checked from N to 300; on the three deep chains
+        # (test_deep_certificates) the table's ratio, which equals the exact
+        # one to level 300 (test_steps_give_the_values), from N to N + 300
+        cert = classify_scan(system, 40)[1].evidence["certificate"]
+        n0 = cert["from_level"]
+        if n0 <= ROW_TOP:
+            seq = c_sequence(system, range(n0, ROW_TOP + 1))
+            ratios = [(n, high / low) for n, low, high
+                      in zip(seq.levels, seq.values, seq.values[1:])]
+        else:
+            forms = limits._chain_table(system)[1]
+            b = system.base_level
+            ratios = [(n, _step(forms, n - b)) for n in range(n0, n0 + ROW_TOP)]
+        assert ratios
+        for n, ratio in ratios:
+            bound = cert.get("ratio_bound") or 1 - cert["kappa"] / (2 * n)
+            assert ratio <= bound, n
+
+    def test_deep_certificates(self):
+        # N exceeds 300 on exactly three chains, whose small limits 1/512,
         # 1/256 and 1/64 put N at 57,555, 2,195 and 665
-        checked = 0
-        for system in ROW_SYSTEMS:
+        deep = {}
+        for system, name in zip(ROW_SYSTEMS, ROW_IDS):
             cert = classify_scan(system, 40)[1].evidence["certificate"]
             if cert["from_level"] > ROW_TOP:
-                continue
-            seq = c_sequence(system, range(cert["from_level"], ROW_TOP + 1))
-            for n, low, high in zip(seq.levels, seq.values, seq.values[1:]):
-                bound = cert.get("ratio_bound") or 1 - cert["kappa"] / (2 * n)
-                assert high / low <= bound, (system, n)
-            checked += 1
-        assert checked == len(ROW_SYSTEMS) - 3
+                deep[name] = (cert["ratio_limit"], cert["from_level"])
+        assert deep == {
+            "group-spin-even(2, 1, 1, 2)": (Fraction(1, 512), 57555),
+            "so-over-u-even(1, 2, 1)": (Fraction(1, 256), 2195),
+            "sp-over-u(2, 1, 0)": (Fraction(1, 64), 665),
+        }
 
     @pytest.mark.parametrize("wrong, error", [
         (lambda cn, cd, num, den: (cn, cd, num + [(1, 1)], den), "degree [0-9]+ over [0-9]+"),
