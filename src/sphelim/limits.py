@@ -15,6 +15,7 @@ from that table.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from collections import Counter
@@ -148,7 +149,9 @@ class CSequence:
         fresh = sorted(set(int(lv) for lv in more_levels) - set(self.levels))
         if not fresh:
             return self
-        values = tuple(_values_at(self.system, fresh))
+        held = bisect.bisect(self.levels, fresh[0])
+        start = (self.levels[held - 1], self.values[held - 1]) if held else None
+        values = tuple(_values_at(self.system, fresh, start=start))
         merged = sorted(zip(self.levels + tuple(fresh), self.values + values))
         return CSequence(self.system,
                          tuple(lv for lv, _ in merged),
@@ -156,9 +159,12 @@ class CSequence:
 
 
 def _values_at(system: DirectSystem, levels: Iterable[int],
-               table: tuple[Fraction, tuple] | None = None) -> Iterator[Fraction]:
+               table: tuple[Fraction, tuple] | None = None,
+               start: tuple[int, Fraction] | None = None) -> Iterator[Fraction]:
     """Exact values at ascending levels, yielded one at a time, from the
     chain's ``_chain_table`` (read here unless the caller passes it).
+    ``start`` is a known (level, value) at or below the first level asked
+    for; infinite-rank values step up from it instead of from the base.
 
     The base level's value is the table's whole product.  Above it, a
     finite-rank value c(q) is the table's rational function at t = q - p - 1,
@@ -168,7 +174,8 @@ def _values_at(system: DirectSystem, levels: Iterable[int],
     Fraction is canonical, every value is the one ``c_value`` gives.
     """
     value, forms = table or _chain_table(system)
-    base, top = system.base_level, system.base_level
+    base = system.base_level
+    top, value = start or (base, value)
     finite = system.mode == MODE_FINITE
     for level in levels:
         if level < base:

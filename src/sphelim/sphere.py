@@ -12,9 +12,11 @@ of the base point.
 The check reads only t = (x h y)[0,0] = a0 b0 + a'.Q b', where a is the
 first row of x, b the first column of y and Q in SO(n) the lower block of
 h.  For Q Haar-distributed, Q b'/|b'| is uniform on the unit sphere
-S^(n-1), as is g/|g| for a standard Gaussian g in R^n.  So each sample
-draws one Gaussian n-vector and sets t = a0 b0 + |b'| (a'.g)/|g|: the
-same law as the full-matrix draw, at O(n) instead of O(n^3) per sample.
+S^(n-1), so a'.Q b' = |a'| |b'| u with u one coordinate of a uniform
+point: u follows the symmetric Beta((n-1)/2, (n-1)/2) law on [-1, 1],
+which is (G1 - G2)/(G1 + G2) for iid Gamma((n-1)/2) variates.  So each
+sample draws two Gamma variates and sets t = a0 b0 + |a'| |b'| u: the
+same law as the full-matrix draw, at O(1) instead of O(n^3) per sample.
 The full Haar sampler (QR with Mezzadri's sign fix) stays as the public
 ``haar_rotation`` and as the oracle for the orbit draw.
 """
@@ -230,20 +232,25 @@ class MCResult(NamedTuple):
 def _sample_t(a: np.ndarray, b: np.ndarray, take: int, rng: np.random.Generator) -> np.ndarray:
     """take draws of t = a0 b0 + a'.Q b' for Q Haar on SO(n), n = len(a) - 1.
 
-    Q b' is |b'| times a uniform point of S^(n-1), drawn as g/|g| with g
-    standard Gaussian: one n-vector per sample instead of an n x n QR.
+    a'.Q b' is |a'| |b'| u, with u one coordinate of a uniform point of
+    S^(n-1): the symmetric Beta((n-1)/2, (n-1)/2) law on [-1, 1], drawn as
+    u = (g0 - g1)/(g0 + g1) from two iid Gamma((n-1)/2) variates.  Two
+    variates per sample, whatever n, from one (take, 2) draw.
     """
-    g = rng.standard_normal((take, a.size - 1))
-    return a[0] * b[0] + np.linalg.norm(b[1:]) * (g @ a[1:]) / np.linalg.norm(g, axis=1)
+    n = a.size - 1
+    g = rng.standard_gamma((n - 1) / 2, size=(take, 2))
+    u = (g[:, 0] - g[:, 1]) / (g[:, 0] + g[:, 1])
+    return a[0] * b[0] + (np.linalg.norm(a[1:]) * np.linalg.norm(b[1:])) * u
 
 
 def mc_functional_equation(n: int, k: int, x, y, samples: int, seed: int) -> MCResult:
     """Monte-Carlo check of avg over the stabilizer of psi(x h y) against
     psi(x) psi(y), where psi(g) = R_k(g[0,0]).
 
-    Each sample is t = (x h y)[0,0] by the orbit draw ``_sample_t``: one
-    Gaussian n-vector, exact in law because Haar rotations of SO(n) carry
-    b' = y[1:, 0] to a uniform point of its sphere.  Uses the same blocked
+    Each sample is t = (x h y)[0,0] by the orbit draw ``_sample_t``: two
+    Gamma variates, whatever n, exact in law because Haar rotations of SO(n)
+    carry b' = y[1:, 0] to a uniform point of its sphere, whose coordinate
+    along a' follows a symmetric Beta law.  Uses the same blocked
     RNG scheme as haar_rotation, accumulating block sums and combining them
     with exact float summation, so results are reproducible for a fixed
     (seed, samples).  The sums are of the values minus the first one, so

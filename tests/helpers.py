@@ -133,3 +133,27 @@ def jack_at_ones(lam, p: int, alpha) -> Fraction:
             arm, leg = row - j, conjugate[j - 1] - i
             value *= (p + alpha * (j - 1) - (i - 1)) / (alpha * arm + leg + 1)
     return value
+
+
+def sphere_moment(n: int, j: int) -> Fraction:
+    """E u^(2j) = (2j-1)!!/(n(n+2)...(n+2j-2)) for u one coordinate of a
+    uniform point of S^(n-1), the unit sphere in R^n; odd moments vanish."""
+    value = Fraction(1)
+    for i in range(j):
+        value *= Fraction(2 * i + 1, n + 2 * i)
+    return value
+
+
+def zonal_polynomial(n: int, k: int) -> list[Fraction]:
+    """R_k on the n-sphere as exact coefficients, constant term first, from
+    the recurrence (i+n-1) R_{i+1} = (2i+n-1) t R_i - i R_{i-1}, R_0 = 1,
+    R_1 = t."""
+    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    if k == 0:
+        return prev
+    for i in range(1, k):
+        nxt = [Fraction(0)] + [Fraction(2 * i + n - 1, i + n - 1) * c for c in cur]
+        for m, c in enumerate(prev):
+            nxt[m] -= Fraction(i, i + n - 1) * c
+        prev, cur = cur, nxt
+    return cur

@@ -137,6 +137,32 @@ class TestCSequenceConstruction:
         with pytest.raises(ValueError, match="below the base level"):
             seq.extended([1])
 
+    @pytest.mark.parametrize("system", [DirectSystem("group-sp", (0, 1, 0, 2)),
+                                        DirectSystem("so-over-u-odd", (0, 1)),
+                                        DirectSystem("grass-complex", (2, 1), fixed_p=2)],
+                             ids=lambda s: s.family)
+    def test_extended_at_sparse_levels_is_c_value(self, system):
+        # fresh levels below, between and above the held ones
+        base = system.base_level
+        seq = c_sequence(system, [base + 5, base + 40])
+        seq = seq.extended([base + 57, base + 3, base + 21, base + 90])
+        seq = seq.extended([base + 41, base])
+        want = (0, 3, 5, 21, 40, 41, 57, 90)
+        assert seq.levels == tuple(base + d for d in want)
+        assert seq.values == tuple(c_value(*propagate(system, lv)) for lv in seq.levels)
+
+    def test_one_level_extension_steps_once(self, monkeypatch):
+        # the extension steps from the held level 2,000, not from the base
+        system = DirectSystem("group-sp", (0, 1, 0, 2))
+        seq = c_sequence(system, range(4, 2001))
+        calls = []
+        evaluate = limits._evaluate
+        monkeypatch.setattr(limits, "_evaluate", lambda *a: calls.append(a) or evaluate(*a))
+        longer = seq.extended([2001])
+        assert len(calls) == 1
+        assert longer.last() == (2001, seq.values[-1] * evaluate(*calls[0]))
+        assert longer.values[:-1] == seq.values
+
 
 class TestRankOneChain:
     def test_exact_values(self):

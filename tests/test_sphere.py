@@ -1,12 +1,14 @@
 """Zonal functions on spheres: closed forms, an orthogonal-polynomial oracle,
 the defining ODE, Haar sampling, the orbit sampler against the full-matrix
-sampler, and the Monte-Carlo functional equation."""
+sampler, the Monte-Carlo functional equation, and its exact rank-one form."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from helpers import sphere_moment, zonal_polynomial
 
 from sphelim.sphere import (
     MCResult,
@@ -242,8 +244,9 @@ def _ks_statistic(u, v):
 
 
 class TestOrbitSampler:
-    """The orbit draw t = a0 b0 + |b'| (a'.g)/|g| against the full Haar QR
-    draw t = a0 b0 + a'.Q b', which it replaces in the Monte-Carlo check."""
+    """The orbit draw t = a0 b0 + |a'| |b'| u, with u = (g0 - g1)/(g0 + g1)
+    for two iid Gamma((n-1)/2) variates, against the full Haar QR draw
+    t = a0 b0 + a'.Q b', which it replaces in the Monte-Carlo check."""
 
     COUNT = 20000
 
@@ -274,6 +277,96 @@ class TestOrbitSampler:
         c_alpha = math.sqrt(-0.5 * math.log(0.001 / 2))
         critical = c_alpha * math.sqrt(2.0 / self.COUNT)
         assert _ks_statistic(orbit, full) < critical
+
+
+    @staticmethod
+    def _unit_pair(n, seed):
+        """A first row a and a first column b of rotations of R^(n+1), as
+        unit vectors: no (n+1) x (n+1) matrix is built."""
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal(n + 1), rng.standard_normal(n + 1)
+        return a / np.linalg.norm(a), b / np.linalg.norm(b)
+
+    def test_prefix_of_a_longer_draw(self):
+        a, b = self._unit_pair(7, 1)
+        longer = _sample_t(a, b, 1000, np.random.default_rng(77))
+        for m in (1, 2, 999):
+            assert np.array_equal(_sample_t(a, b, m, np.random.default_rng(77)), longer[:m])
+
+    @pytest.mark.parametrize("n", [2, 3, 60, 10 ** 4])
+    def test_two_gamma_variates_per_sample(self, n):
+        # bit for bit the formula on a twin generator's one (take, 2) draw,
+        # which leaves both generators in the same state: no O(n) draw
+        a, b = self._unit_pair(n, n)
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        t = _sample_t(a, b, 300, rng)
+        g = twin.standard_gamma((n - 1) / 2, (300, 2))
+        u = (g[:, 0] - g[:, 1]) / (g[:, 0] + g[:, 1])
+        assert np.array_equal(t, a[0] * b[0] + (np.linalg.norm(a[1:]) * np.linalg.norm(b[1:])) * u)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 100, 10 ** 4])
+    def test_exact_central_moments(self, n):
+        # d = t - a0 b0 = |a'| |b'| u with E u^2 = 1/n, E u^4 = 3/(n(n+2))
+        a, b = self._unit_pair(n, 700 + n)
+        d = _sample_t(a, b, self.COUNT, np.random.default_rng(800 + n)) - a[0] * b[0]
+        s2 = float(a[1:] @ a[1:]) * float(b[1:] @ b[1:])
+        for values, want in ((d ** 2, s2 / n), (d ** 4, 3 * s2 * s2 / (n * (n + 2)))):
+            se = float(np.std(values, ddof=1)) / math.sqrt(values.size)
+            assert abs(float(np.mean(values)) - want) <= 4.0 * se
+
+
+def _poly_at(poly, t):
+    return sum(coeff * t ** m for m, coeff in enumerate(poly))
+
+
+class TestExactRankOne:
+    """The paper's functional equation on S^n, exactly, in Fractions.
+
+    t = (x h y)[0,0] = A + c u with A = cos(tx) cos(ty), c^2 = (1 - cos^2 tx)
+    (1 - cos^2 ty) and u one coordinate of a uniform point of S^(n-1), whose
+    odd moments vanish: so E f(A + c u) is exact at rational cosines."""
+
+    COSINES = ((Fraction(3, 5), Fraction(5, 13)), (Fraction(-1, 3), Fraction(7, 9)),
+               (Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(-2, 7)))
+
+    @staticmethod
+    def _average(poly, n, cx, cy):
+        """E p(A + c u) for p given by its coefficients."""
+        a, c2 = cx * cy, (1 - cx * cx) * (1 - cy * cy)
+        return sum(coeff * math.comb(m, 2 * j) * a ** (m - 2 * j) * c2 ** j * sphere_moment(n, j)
+                   for m, coeff in enumerate(poly) for j in range(m // 2 + 1))
+
+    def test_polynomial_is_zonal_eval(self):
+        for n in (2, 3, 7, 40):
+            for k in range(7):
+                coeffs = [float(c) for c in zonal_polynomial(n, k)]
+                values = np.polynomial.polynomial.polyval(GRID, coeffs)
+                assert np.max(np.abs(values - zonal_eval(n, k, GRID))) <= 1e-13
+
+    def test_functional_equation(self):
+        for n in range(2, 41):
+            for k in range(7):
+                poly = zonal_polynomial(n, k)
+                for cx, cy in self.COSINES:
+                    want = _poly_at(poly, cx) * _poly_at(poly, cy)
+                    assert self._average(poly, n, cx, cy) == want, (n, k, cx, cy)
+
+    def test_power_limit_rate(self):
+        # for phi = t^k, n (E (A + c u)^k - A^k) -> C(k, 2) A^(k-2) c^2; the
+        # terms j >= 2 add n E u^(2j) <= (2j-1)!!/n, and at k = 3 there are none
+        for cx, cy in self.COSINES:
+            a, c2 = cx * cy, (1 - cx * cx) * (1 - cy * cy)
+            for k in range(2, 7):
+                power = [0] * k + [1]
+                limit = math.comb(k, 2) * a ** (k - 2) * c2
+                rest = sum(math.comb(k, 2 * j) * abs(a) ** (k - 2 * j) * c2 ** j
+                           * math.prod(range(1, 2 * j, 2)) for j in range(2, k // 2 + 1))
+                for n in (2, 10, 100, 10 ** 3, 10 ** 4):
+                    scaled = n * (self._average(power, n, cx, cy) - a ** k)
+                    assert abs(scaled - limit) <= rest / n, (k, n)
+                    if k == 3:
+                        assert scaled == 3 * a * c2
 
 
 class TestMCResult:
