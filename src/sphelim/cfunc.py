@@ -15,6 +15,7 @@ log-Gamma evaluator ``c_gamma`` is the independent floating-point oracle.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,21 +194,21 @@ def _xi_f_ints(datum: SpaceDatum, mu) -> list[int]:
     return _f_ints_from_xi(datum.psi, tuple(int(k) for k in mu))
 
 
-def _product(rows: Iterable[list[tuple[int, int, tuple[int, int]]]]) -> tuple[int, int]:
+def _product(rows: Iterable[list[tuple[int, int, int, int, int]]]) -> tuple[int, int]:
     """Reduced integer numerator/denominator of the product of the rows'
-    factors (``_rows``): each factor's coprime pair from the
-    ``_root_factor`` memo is multiplied in as small integers, and each row
-    is reduced by one gcd and cancelled into the running pair by gcds, as
-    Fraction multiplication does.  Over ``_rows(datum, coeffs, lo)`` this
-    is the overlap product over the pattern roots whose largest f-index is
-    at least ``lo``: the single roots s*f_j and the pairs f_j -+ f_i
-    (i < j) with j >= lo.  With lo = 0 it is the whole product.  Rejects
-    like ``c_value``."""
+    factors (``_rows``): each factor key is passed whole to the
+    ``_root_factor`` memo, whose coprime pair is multiplied in as small
+    integers, and each row is reduced by one gcd and cancelled into the
+    running pair by gcds, as Fraction multiplication does.  Over
+    ``_rows(datum, coeffs, lo)`` this is the overlap product over the
+    pattern roots whose largest f-index is at least ``lo``: the single
+    roots s*f_j and the pairs f_j -+ f_i (i < j) with j >= lo.  With
+    lo = 0 it is the whole product.  Rejects like ``c_value``."""
     num = den = 1
     for row in rows:
         rn = rd = 1
-        for mu_a, rho8, (x8, y8) in row:
-            fn, fd = _root_factor(mu_a, rho8, x8, y8, 8)
+        for key in row:
+            fn, fd = _root_factor(*key)
             rn *= fn
             rd *= fd
         g = math.gcd(rn, rd)
@@ -217,15 +218,47 @@ def _product(rows: Iterable[list[tuple[int, int, tuple[int, int]]]]) -> tuple[in
     return num, den
 
 
+@functools.lru_cache(maxsize=256)
+def _row_plan(datum: SpaceDatum) -> tuple[int, bool, tuple[int, int] | None,
+                                          tuple[int, int] | None, tuple[int, ...]]:
+    """What ``_rows`` needs of a datum, memoized like ``_rho4``: (s, sums,
+    single, pair, r4) with s and sums from ``ROOT_PATTERNS``, single and
+    pair the (8x, 8y) of the single roots s*f_j and of a pair root, or None
+    where the orbit has multiplicity zero, and r4 = 4 rho (``_rho4``).
+
+    Checks once per datum that every rho pairing a row can list is
+    positive: 2 r4[j] / s on the single roots, when there are any (s != 0)
+    and they are roots (single), and on the pair roots, when they are
+    roots, r4[j] - r4[i] and, with sums, r4[j] + r4[i] for i < j.  Those
+    are all positive iff r4 increases and r4[0] + r4[1] > 0.
+    """
+    s, sums, pair_orbit = ROOT_PATTERNS[datum.psi.label]
+    single, pair = ((2 * (mh + 2), 2 * (mh + 2 * m)) if m or mh else None
+                    for m, mh in map(datum.mults_for, (ORBIT_ALPHA1, pair_orbit)))
+    r4 = _rho4(datum)
+    least = []
+    if s and single:
+        least.append(2 * min(r4) // s)
+    if pair and len(r4) > 1:
+        least.append(min(b - a for a, b in zip(r4, r4[1:])))
+        if sums:
+            least.append(r4[0] + r4[1])
+    if least and min(least) <= 0:
+        raise ArithmeticError("internal error: nonpositive rho pairing on a root")
+    return s, sums, single, pair, r4
+
+
 def _rows(datum: SpaceDatum, coeffs: Sequence[int],
-          lo: int) -> Iterator[list[tuple[int, int, tuple[int, int]]]]:
-    """The nontrivial factors (mu_alpha, 8 rho_alpha, (8x, 8y)) of each
-    f-index row j >= lo of one weight's integer f-coefficients, one list per
-    row: the single root s*f_j, then one factor for each run [a, b) below j,
-    a maximal range of indices i < j with equal integer f-coefficients,
-    standing for all its roots f_j - f_i, and one for all its f_j + f_i
-    where they occur.  An orbit of multiplicity zero gives no factors, as
-    its pattern entries are not roots.
+          lo: int) -> Iterator[list[tuple[int, int, int, int, int]]]:
+    """The nontrivial factors of each f-index row j >= lo of one weight's
+    integer f-coefficients, one list per row, each factor as the flat key
+    (mu_alpha, 8 rho_alpha, 8 x_alpha, 8 y_alpha, 8) of ``_root_factor``
+    and ``_root_terms``: the single root s*f_j, then one factor for each
+    run [a, b) below j, a maximal range of indices i < j with equal integer
+    f-coefficients, standing for all its roots f_j - f_i, and one for all
+    its f_j + f_i where they occur.  An orbit of multiplicity zero gives no
+    factors, as its pattern entries are not roots.  What depends only on
+    the datum comes from ``_row_plan``.
 
     A run telescopes.  The pair roots have no half roots, so x = 1/2 and
     y = m/2, and Legendre duplication (2 rho)_{2 mu} = 4^mu (rho)_mu
@@ -239,13 +272,10 @@ def _rows(datum: SpaceDatum, coeffs: Sequence[int],
 
     Every root of a row is validated, as ``c_value`` rejects, before roots
     of multiplicity zero or mu_alpha = 0 are skipped: once per run, on
-    which the coefficient difference and sum are constant.  rho_alpha is
-    checked on each factor, which carries its run's smallest.
+    which the coefficient difference and sum are constant.  Every rho
+    pairing a row can list is positive (``_row_plan`` checks them).
     """
-    s, sums, pair_orbit = ROOT_PATTERNS[datum.psi.label]
-    single, pair = ((2 * (mh + 2), 2 * (mh + 2 * m)) if m or mh else None
-                    for m, mh in map(datum.mults_for, (ORBIT_ALPHA1, pair_orbit)))
-    r4 = _rho4(datum)
+    s, sums, single, pair, r4 = _row_plan(datum)
     # the run ends: every i with coeffs[i] != coeffs[i-1], then len(coeffs)
     ends = [i for i in range(1, len(coeffs)) if coeffs[i] != coeffs[i - 1]] + [len(coeffs)]
     for j in range(lo, len(coeffs)):
@@ -256,7 +286,7 @@ def _rows(datum: SpaceDatum, coeffs: Sequence[int],
             if mu_a < 0 or rem:
                 _reject(datum, coeffs)
             if mu_a and single:
-                row.append((mu_a, 2 * rj // s, single))
+                row.append((mu_a, 2 * rj // s, single[0], single[1], 8))
         a = 0
         for b in ends:  # the run [a, b) below j: roots f_j - f_i, f_j + f_i
             if a >= j:
@@ -268,15 +298,12 @@ def _rows(datum: SpaceDatum, coeffs: Sequence[int],
             if diff < 0 or diff & 1 or tot < 0:
                 _reject(datum, coeffs)
             if pair:
-                run = (pair[0], pair[1] * (b - a))  # one root of multiplicity (b - a) m
+                y8 = pair[1] * (b - a)  # one root of multiplicity (b - a) m
                 if diff:  # rho_alpha is smallest at i = b - 1
-                    row.append((diff >> 1, rj - r4[b - 1], run))
+                    row.append((diff >> 1, rj - r4[b - 1], pair[0], y8, 8))
                 if tot:  # and at i = a
-                    row.append((tot >> 1, rj + r4[a], run))
+                    row.append((tot >> 1, rj + r4[a], pair[0], y8, 8))
             a = b
-        for _, rho8, _ in row:
-            if rho8 <= 0:
-                raise ArithmeticError("internal error: nonpositive rho pairing on a root")
         yield row
 
 
@@ -300,20 +327,23 @@ def _gamma_term(lam4: int, scale: int, quarter: float, m: int) -> float:
 
 @functools.lru_cache(maxsize=256)
 def _gamma_root_table(datum: SpaceDatum) -> tuple:
-    """The roots ``c_gamma`` sums over, with everything that depends only on
-    the datum: (entries, 4 * <rho, alpha>, 4 * |alpha|^2, m_half / 4, m,
-    the rho half of the log-Gamma difference, orbit).  Multiplicity-zero
-    pattern entries are dropped; the order is that of ``iter_root_support``."""
+    """The roots ``c_gamma`` sums over, one flat row per root with
+    everything that depends only on the datum: (i0, v0, i1, v1,
+    4 * <rho, alpha>, 4 * |alpha|^2, m_half / 4, m, the rho half of the
+    log-Gamma difference, orbit), for the root v0 f_{i0+1} + v1 f_{i1+1};
+    a single root has v1 = 0.  Multiplicity-zero pattern entries are
+    dropped; the order is that of ``iter_root_support``."""
     r4 = _rho4(datum)
     table = []
     for orbit, norm_sq, entries in iter_root_support(datum.psi):
         m, mh = datum.mults_for(orbit)
         if m == 0 and mh == 0:
             continue
-        rho4 = sum(r4[i] * v for i, v in entries)
+        (i0, v0), (i1, v1) = entries if len(entries) == 2 else (entries[0], (0, 0))
+        rho4 = r4[i0] * v0 + r4[i1] * v1
         scale = 4 * norm_sq
         quarter = mh / 4.0
-        table.append((entries, rho4, scale, quarter, m,
+        table.append((i0, v0, i1, v1, rho4, scale, quarter, m,
                       _gamma_term(rho4, scale, quarter, m), orbit))
     return tuple(table)
 
@@ -334,28 +364,25 @@ def _quarter_ints(datum: SpaceDatum, lam, shift4: tuple[int, ...] = ()) -> list[
     """Integer f-coefficients of 4 lambda = 4 lam + shift4 (no shift when
     empty), for lam a Weight or f-coefficient vector of quarter-integers; a
     coordinate that is not one is named by its value in lambda."""
-    vec = _as_f_vector(datum, lam)
-    for i, c in enumerate(vec):
-        if 4 % c.denominator:
-            lam_i = c + Fraction(shift4[i], 4) if shift4 else c
-            raise ValueError(f"lambda coordinate f{i + 1} = {lam_i} is not a quarter-integer")
-    vec4 = [c.numerator * (4 // c.denominator) for c in vec]
-    return [a + r for a, r in zip(vec4, shift4)] if shift4 else vec4
+    vec4 = []
+    for c, r in zip(_as_f_vector(datum, lam), shift4 or itertools.repeat(0)):
+        d = c.denominator
+        if 4 % d:
+            raise ValueError(f"lambda coordinate f{len(vec4) + 1} = {c + Fraction(r, 4)} "
+                             "is not a quarter-integer")
+        vec4.append(c.numerator * (4 // d) + r)
+    return vec4
 
 
 def _gamma_sum(datum: SpaceDatum, vec4: list[int]) -> float:
     """``c_gamma`` from the integer f-coefficients of 4 lambda."""
     total = 0.0
-    for entries, rho4, scale, quarter, m, rho_term, orbit in _gamma_root_table(datum):
-        if len(entries) == 1:
-            i0, v0 = entries[0]
-            lam4 = vec4[i0] * v0
-        else:
-            (i0, v0), (i1, v1) = entries
-            lam4 = vec4[i0] * v0 + vec4[i1] * v1
+    for i0, v0, i1, v1, rho4, scale, quarter, m, rho_term, orbit in _gamma_root_table(datum):
+        lam4 = vec4[i0] * v0 + vec4[i1] * v1
         if lam4 == rho4:
             continue
         if lam4 <= 0:
+            entries = ((i0, v0), (i1, v1)) if v1 else ((i0, v0),)
             root = RestrictedRoot(len(vec4), entries, orbit)
             raise ValueError(f"lambda must pair positively with every root: "
                              f"pairing with {root!r} is {Fraction(lam4, scale)}")

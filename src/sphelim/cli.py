@@ -58,7 +58,8 @@ def fmt_int(k: int) -> str:
 
 
 def fmt_fraction(fr: Fraction) -> str:
-    fr = Fraction(fr)
+    if not isinstance(fr, Fraction):
+        fr = Fraction(fr)
     return f"{fmt_int(fr.numerator)}/{fmt_int(fr.denominator)}"
 
 

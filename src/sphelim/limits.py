@@ -265,8 +265,8 @@ def _chain_table(system: DirectSystem) -> tuple[Fraction, tuple[int, int, list, 
             raise ArithmeticError(
                 f"internal error: level {level} does not extend the level below it")
         else:
-            readings.append([_root_terms(mu, rho8, x8, y8, 8) for row in _rows(datum, coeffs, lo)
-                             for mu, rho8, (x8, y8) in row])
+            readings.append([_root_terms(*key) for row in _rows(datum, coeffs, lo)
+                             for key in row])
         mults, lo = _mults(datum), len(coeffs) if infinite else 0
     if len({len(reading) for reading in readings}) != 1:
         raise ArithmeticError("internal error: the root set moves with the level")
@@ -289,7 +289,7 @@ def _chain_table(system: DirectSystem) -> tuple[Fraction, tuple[int, int, list, 
 def _primitive_forms(forms: Iterable[tuple[int, int]]) -> tuple[int, Counter]:
     """The product of the forms' contents, and the nonconstant forms divided
     by their content, counted; a constant form goes wholly into the content.
-    Every intercept is positive (``_rows`` checks rho), so a form
+    Every intercept is positive (``cfunc._row_plan`` checks rho), so a form
     stays positive for every t >= 0 unless its slope is negative."""
     content, out = 1, Counter()
     for a, b in forms:

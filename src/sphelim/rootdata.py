@@ -402,18 +402,32 @@ def _f_ints_from_xi(psi: RootSystemType, coeffs: Sequence[int]) -> list[int]:
     return f
 
 
+# Entries kept by the integer-Fraction memo: the f-coordinates of the
+# weights in common use are small integers, and a long run of large ones
+# evicts instead of growing the memo.
+_INT_FRACTION_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_INT_FRACTION_CACHE_SIZE)
+def _int_fraction(k: int) -> Fraction:
+    """Fraction(k), one shared object per integer in the memo; Fractions
+    are immutable, so sharing them is safe."""
+    return Fraction(k)
+
+
 def weight_from_xi(obj: Union[SpaceDatum, RootSystemType], coeffs: Sequence[int]) -> Weight:
     """The integer combination sum_j coeffs[j] * xi_{j+1}.
 
     Coefficients may be any integers; nonnegative ones give dominant
-    weights in the spherical lattice.
+    weights in the spherical lattice.  The f-coordinates are integers
+    (``_f_ints_from_xi``), each taken as a shared Fraction from the bounded
+    memo ``_int_fraction``.
     """
     psi = _psi_of(obj)
     if len(coeffs) != psi.rank:
         raise ValueError(f"need {psi.rank} coefficients, got {len(coeffs)}")
     coeffs = tuple(int(k) for k in coeffs)
-    f = _f_ints_from_xi(psi, coeffs)
-    return Weight(tuple(Fraction(c) for c in f), coeffs)
+    return Weight(tuple(map(_int_fraction, _f_ints_from_xi(psi, coeffs))), coeffs)
 
 
 def pad_xi_coeffs(coeffs: Sequence[int], rank: int) -> tuple[int, ...]:

@@ -51,9 +51,21 @@ def _validate_nk(n: int, k: int):
 
 def _as_unit_interval(t) -> np.ndarray:
     arr = np.asarray(t, dtype=float)
-    if arr.size and float(np.max(np.abs(arr))) > 1.0:
+    # written so that a NaN entry fails the test, as in _check_rotation
+    if arr.size and not float(np.max(np.abs(arr))) <= 1.0:
         raise ValueError("zonal functions are only defined for |t| <= 1")
     return arr
+
+
+def _eval_values(n: int, k: int, t: np.ndarray) -> np.ndarray:
+    """R_k alone: the recurrence of ``_eval_with_derivatives`` without
+    its derivative terms, so the same value to the bit."""
+    if k == 0:
+        return np.ones_like(t)
+    p_prev, p = np.ones_like(t), t.copy()
+    for i in range(1, k):
+        p_prev, p = p, ((2 * i + n - 1) * t * p - i * p_prev) / (i + n - 1)
+    return p
 
 
 def _eval_with_derivatives(n: int, k: int, t: np.ndarray):
@@ -77,7 +89,7 @@ def zonal_eval(n: int, k: int, t):
     """R_k on the n-sphere at t (scalar or array in [-1, 1])."""
     _validate_nk(n, k)
     arr = _as_unit_interval(t)
-    value = _eval_with_derivatives(n, k, arr)[0]
+    value = _eval_values(n, k, arr)
     return float(value) if np.isscalar(t) or getattr(t, "ndim", 0) == 0 else value
 
 
@@ -229,18 +241,19 @@ class MCResult(NamedTuple):
         return gap / self.std_error
 
 
-def _sample_t(a: np.ndarray, b: np.ndarray, take: int, rng: np.random.Generator) -> np.ndarray:
-    """take draws of t = a0 b0 + a'.Q b' for Q Haar on SO(n), n = len(a) - 1.
+def _sample_t(t0: float, scale: float, n: int, take: int,
+              rng: np.random.Generator) -> np.ndarray:
+    """take draws of t = a0 b0 + a'.Q b' for Q Haar on SO(n), from
+    t0 = a0 b0 and scale = |a'| |b'|.
 
     a'.Q b' is |a'| |b'| u, with u one coordinate of a uniform point of
     S^(n-1): the symmetric Beta((n-1)/2, (n-1)/2) law on [-1, 1], drawn as
     u = (g0 - g1)/(g0 + g1) from two iid Gamma((n-1)/2) variates.  Two
     variates per sample, whatever n, from one (take, 2) draw.
     """
-    n = a.size - 1
     g = rng.standard_gamma((n - 1) / 2, size=(take, 2))
     u = (g[:, 0] - g[:, 1]) / (g[:, 0] + g[:, 1])
-    return a[0] * b[0] + (np.linalg.norm(a[1:]) * np.linalg.norm(b[1:])) * u
+    return t0 + scale * u
 
 
 def mc_functional_equation(n: int, k: int, x, y, samples: int, seed: int) -> MCResult:
@@ -267,15 +280,16 @@ def mc_functional_equation(n: int, k: int, x, y, samples: int, seed: int) -> MCR
     y = _check_rotation(y, n + 1)
     a = x[0, :]
     b = y[:, 0]
+    t0, scale = a[0] * b[0], np.linalg.norm(a[1:]) * np.linalg.norm(b[1:])
     tx = min(1.0, max(-1.0, x[0, 0]))
     ty = min(1.0, max(-1.0, y[0, 0]))
     target = zonal_eval(n, k, tx) * zonal_eval(n, k, ty)
     shift = None
     sums, sqs = [], []
     for take, rng in _blocks(seed, samples):
-        t = _sample_t(a, b, take, rng)
+        t = _sample_t(t0, scale, n, take, rng)
         np.clip(t, -1.0, 1.0, out=t)
-        vals = _eval_with_derivatives(n, k, t)[0]
+        vals = _eval_values(n, k, t)
         if shift is None:
             shift = float(vals[0])
         d = vals - shift

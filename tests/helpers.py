@@ -1,9 +1,19 @@
 """Shared test fixtures: canonical small instances of every catalog family,
-and a closed-form overlap oracle for the group spaces."""
+a closed-form overlap oracle for the group spaces, and the log-Gamma
+oracle's sum written out."""
 
+import math
 from fractions import Fraction
 
-from sphelim.rootdata import FAMILIES, SpaceDatum, build_space
+from sphelim.cfunc import _log_cprime
+from sphelim.rootdata import (
+    FAMILIES,
+    RestrictedRoot,
+    SpaceDatum,
+    build_space,
+    iter_root_support,
+    rho,
+)
 
 
 def small_instances() -> list[SpaceDatum]:
@@ -70,6 +80,31 @@ def oracle_grid_instances() -> list[SpaceDatum]:
                         out.append(build_space(fam.slug, n=n))
                         break
     return out
+
+
+def memo_free_c_gamma(datum: SpaceDatum, lam) -> float:
+    """c_gamma's sum written out: one pair of _log_cprime terms per root of
+    nonzero multiplicity, in iter_root_support order, with no memo and no
+    table.  A nonpositive pairing raises the ValueError c_gamma raises,
+    naming the first such root in that order."""
+    r4 = [4 * c for c in rho(datum).coeffs_f]
+    l4 = [4 * Fraction(c) for c in lam]
+    total = 0.0
+    for orbit, norm_sq, entries in iter_root_support(datum.psi):
+        m, mh = datum.mults_for(orbit)
+        if (m, mh) == (0, 0):
+            continue
+        rho4 = int(sum(r4[i] * v for i, v in entries))
+        lam4 = int(sum(l4[i] * v for i, v in entries))
+        if lam4 == rho4:
+            continue
+        if lam4 <= 0:
+            root = RestrictedRoot(len(l4), entries, orbit)
+            raise ValueError(f"lambda must pair positively with every root: "
+                             f"pairing with {root!r} is {Fraction(lam4, 4 * norm_sq)}")
+        total += (_log_cprime(lam4 / (4 * norm_sq), mh / 4.0, m)
+                  - _log_cprime(rho4 / (4 * norm_sq), mh / 4.0, m))
+    return math.exp(total)
 
 
 def inverse_weyl_dimension(label: str, mu_f) -> Fraction:

@@ -18,18 +18,20 @@ from hypothesis import strategies as st
 from helpers import (
     instances_at_rank,
     inverse_weyl_dimension,
+    memo_free_c_gamma,
     oracle_grid_instances,
     small_instances,
 )
+from sphelim import cfunc
 from sphelim.cfunc import (
     BigRational,
     CFactorParams,
     _gamma_root_table,
     _gamma_term,
-    _log_cprime,
     _product,
     _root_factor,
     _root_terms,
+    _row_plan,
     _rows,
     c_factor,
     c_factor_reference,
@@ -48,7 +50,6 @@ from sphelim.rootdata import (
     _rho4,
     build_space,
     catalog_rows,
-    iter_root_support,
     lambda_alpha,
     pad_xi_coeffs,
     positive_nonmultipliable_roots,
@@ -196,11 +197,11 @@ class TestRootFactorMemo:
         assert cases == 7 * 24 * 6 * 7
 
     def test_memos_stay_bounded_over_the_criterion_3_sweep(self):
-        """Both per-root memos, and the per-datum memos of 4 rho and of the
-        oracle's root table, hold the whole criterion-3 working set: they
-        stay within their bounds and never evict, so each key is computed
-        once."""
-        memos = (_root_factor, _gamma_term, _rho4, _gamma_root_table)
+        """Both per-root memos, and the per-datum memos of 4 rho, of the row
+        plan and of the oracle's root table, hold the whole criterion-3
+        working set: they stay within their bounds and never evict, so each
+        key is computed once."""
+        memos = (_root_factor, _gamma_term, _rho4, _row_plan, _gamma_root_table)
         for memo in memos:
             memo.cache_clear()
         for datum in oracle_grid_instances():
@@ -211,6 +212,40 @@ class TestRootFactorMemo:
             info = memo.cache_info()
             assert 0 < info.currsize <= info.maxsize
             assert info.misses == info.currsize and info.hits > info.misses
+
+
+class TestRowPlan:
+    """``_row_plan`` checks, once per datum, the rho pairings that rows can
+    list: the single roots only where there are some and they are roots,
+    the pair roots only where they are roots."""
+
+    @pytest.mark.parametrize("datum, r4, coeffs", [
+        (build_space("group-sp", n=3), (4, 4, 8), (0, 1, 0)),      # pairs: not increasing
+        (build_space("group-sp", n=3), (0, 4, 8), (0, 0, 0)),      # single root 2f1: 0
+        (build_space("group-spin-even", n=4), (-4, 0, 4, 8), (0, 0, 0, 0)),  # f1 + f2: -4
+    ], ids=["nonincreasing", "single-root", "sum-root"])
+    def test_nonpositive_rho_pairing_is_an_internal_error(self, monkeypatch, datum, r4, coeffs):
+        # raised even at weights whose rows list no factor on the bad pairing
+        monkeypatch.setattr(cfunc, "_rho4", lambda d: r4)
+        _row_plan.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError,
+                               match="^internal error: nonpositive rho pairing on a root$"):
+                c_value(datum, coeffs)
+        finally:
+            _row_plan.cache_clear()
+
+    def test_no_alarm_where_rows_list_no_such_pairing(self):
+        # sp-over-u at n = 1: 4 rho = (0,), no single roots (m_alpha1 = 0)
+        # and no pairs; type A: single is set but there are no roots s f_j
+        # (s = 0), and 4 rho starts at 0
+        sp, su = build_space("sp-over-u", n=1), build_space("group-su", n=3)
+        _row_plan.cache_clear()
+        assert _row_plan(sp) == (2, True, None, (4, 4), (0,))
+        assert _row_plan(su) == (0, False, (4, 8), (4, 8), (0, 8, 16))
+        assert c_value(sp, (3,)) == 1  # the empty product
+        for xi in ((0, 1), (2, 1), (3, 0)):
+            assert c_value(su, xi) == inverse_weyl_dimension("A", _f_ints_from_xi(su.psi, xi))
 
 
 class TestCValue:
@@ -313,24 +348,6 @@ def shifted_parameter(datum, coeffs) -> tuple[Fraction, ...]:
     return tuple(a + b for a, b in zip(mu.coeffs_f, rho(datum).coeffs_f))
 
 
-def memo_free_c_gamma(datum, lam) -> float:
-    """c_gamma's sum written out: one pair of _log_cprime terms per root of
-    nonzero multiplicity, in iter_root_support order, with no memo."""
-    r4 = [4 * c for c in rho(datum).coeffs_f]
-    l4 = [4 * Fraction(c) for c in lam]
-    total = 0.0
-    for orbit, norm_sq, entries in iter_root_support(datum.psi):
-        m, mh = datum.mults_for(orbit)
-        if (m, mh) == (0, 0):
-            continue
-        rho4 = int(sum(r4[i] * v for i, v in entries))
-        lam4 = int(sum(l4[i] * v for i, v in entries))
-        if lam4 != rho4:
-            total += (_log_cprime(lam4 / (4 * norm_sq), mh / 4.0, m)
-                      - _log_cprime(rho4 / (4 * norm_sq), mh / 4.0, m))
-    return math.exp(total)
-
-
 @functools.cache
 def criterion3_sample() -> tuple:
     """1,500 seeded (datum, coefficients) points of the criterion-3 grid."""
@@ -409,11 +426,26 @@ class TestCGammaOracle:
     @pytest.mark.parametrize("datum, lam, message", [
         (build_space("rank1-real", q=4), (-1,), r"RestrictedRoot\(2f1, alpha1_orbit\) is -1/2"),
         (build_space("grass-complex", p=2, q=3), (3, 3), r"RestrictedRoot\(-f1\+f2, middle\) is 0"),
-    ], ids=["single-root", "pair-root"])
+        (build_space("group-spin-even", n=4), (-1, 0, 1, 2),
+         r"RestrictedRoot\(f1\+f2, alpha1_orbit\) is -1/2"),
+    ], ids=["single-root", "pair-root", "sum-root"])
     def test_rejects_a_nonpositive_pairing(self, datum, lam, message):
         with pytest.raises(ValueError, match="pair positively with every root: pairing with "
-                                             + message):
+                                             + message) as got:
             c_gamma(datum, lam)
+        # the root rebuilt from the flat table row is the one the literal
+        # sum meets first
+        with pytest.raises(ValueError) as want:
+            memo_free_c_gamma(datum, lam)
+        assert str(got.value) == str(want.value)
+
+    def test_c_gamma_and_c_oracle_are_the_literal_sum(self):
+        """On a seeded criterion-3 sample, the flat table's sum is the
+        literal root-by-root sum, float for float."""
+        for datum, coeffs in criterion3_sample():
+            want = memo_free_c_gamma(datum, shifted_parameter(datum, coeffs))
+            assert c_gamma(datum, shifted_parameter(datum, coeffs)) == want, (datum, coeffs)
+            assert c_oracle(datum, coeffs) == want, (datum, coeffs)
 
     def test_c_oracle_rejects_wrong_length(self):
         datum = build_space("group-sp", n=3)

@@ -18,6 +18,8 @@ from sphelim.rootdata import (
     RootSystemType,
     SpaceDatum,
     Weight,
+    _f_ints_from_xi,
+    _int_fraction,
     _rho4,
     build_space,
     catalog_rows,
@@ -250,6 +252,23 @@ class TestWeights:
         for k, xi in zip((2, 0, 1), fundamental_weights(datum)):
             expected = [e + k * c for e, c in zip(expected, xi.coeffs_f)]
         assert list(w.coeffs_f) == expected
+
+    def test_integer_fraction_memo_stays_bounded(self):
+        """weight_from_xi shares one Fraction per integer coordinate from a
+        bounded memo: a rank-3,000 weight with 3,000 distinct coordinates
+        evicts instead of growing it, and every coordinate is still exact."""
+        _int_fraction.cache_clear()
+        datum = build_space("group-sp", n=3000)
+        xi = (1,) * datum.rank
+        w = weight_from_xi(datum, xi)
+        assert w.coeffs_f == tuple(Fraction(c) for c in _f_ints_from_xi(datum.psi, xi))
+        assert all(type(c) is Fraction for c in w.coeffs_f)
+        assert len(set(w.coeffs_f)) == datum.rank
+        info = _int_fraction.cache_info()
+        assert info.misses == datum.rank and info.currsize == info.maxsize < datum.rank
+        small = build_space("group-sp", n=3)
+        first, second = weight_from_xi(small, (2, 0, 1)), weight_from_xi(small, (2, 0, 1))
+        assert all(a is b for a, b in zip(first.coeffs_f, second.coeffs_f))
 
     def test_weight_from_xi_length_check(self):
         datum = build_space("group-sp", n=3)

@@ -13,6 +13,8 @@ from helpers import sphere_moment, zonal_polynomial
 from sphelim.sphere import (
     MCResult,
     ZonalFunction,
+    _eval_values,
+    _eval_with_derivatives,
     _haar_block,
     _sample_t,
     haar_rotation,
@@ -111,6 +113,14 @@ class TestODE:
         with pytest.raises(ValueError, match=r"\|t\| <= 1"):
             fn.ode_residual(1.5)
 
+    @pytest.mark.parametrize("n", [2, 3, 30, 10 ** 4])
+    def test_values_only_recurrence_is_the_full_one(self, n):
+        # zonal_eval and the Monte-Carlo check skip the derivative terms
+        t = np.concatenate([GRID, np.random.default_rng(n).uniform(-1.0, 1.0, 500)])
+        for k in range(9):
+            assert np.array_equal(_eval_values(n, k, t), _eval_with_derivatives(n, k, t)[0])
+            assert np.array_equal(zonal_eval(n, k, t), ZonalFunction(n, k).derivatives(t)[0])
+
     def test_derivatives_consistent_with_finite_differences(self):
         fn = ZonalFunction(5, 6)
         t = np.linspace(-0.9, 0.9, 31)
@@ -134,6 +144,15 @@ class TestValidation:
             zonal_eval(3, 2, 1.5)
         with pytest.raises(ValueError, match=r"\|t\| <= 1"):
             ZonalFunction(3, 2)(np.array([0.0, -1.01]))
+
+    def test_nan_is_outside_the_interval(self):
+        # NaN compares False both ways, so the range test must not read "> 1"
+        for call in (lambda t: zonal_eval(3, 2, t), lambda t: ode_residual(3, 2, t),
+                     ZonalFunction(3, 2), ZonalFunction(3, 2).derivatives,
+                     ZonalFunction(3, 2).ode_residual):
+            for t in (math.nan, np.array([0.5, math.nan, -0.25]), np.array([math.nan])):
+                with pytest.raises(ValueError, match=r"\|t\| <= 1"):
+                    call(t)
 
     def test_zonal_function_repr(self):
         assert repr(ZonalFunction(4, 2)) == "ZonalFunction(n=4, k=2)"
@@ -250,11 +269,17 @@ class TestOrbitSampler:
 
     COUNT = 20000
 
+    @staticmethod
+    def _draw(a, b, take, rng):
+        """``_sample_t`` for the first row a of x and first column b of y."""
+        return _sample_t(a[0] * b[0], np.linalg.norm(a[1:]) * np.linalg.norm(b[1:]),
+                         a.size - 1, take, rng)
+
     def _both_samplers(self, n):
         x = haar_rotation(n + 1, 1, seed=300 + n)[0]
         y = haar_rotation(n + 1, 1, seed=400 + n)[0]
         a, b = x[0, :], y[:, 0]
-        orbit = _sample_t(a, b, self.COUNT, np.random.default_rng(500 + n))
+        orbit = self._draw(a, b, self.COUNT, np.random.default_rng(500 + n))
         q = _haar_block(n, self.COUNT, np.random.default_rng(600 + n))
         full = a[0] * b[0] + np.einsum("i,sij,j->s", a[1:], q, b[1:])
         return a, b, orbit, full
@@ -289,9 +314,9 @@ class TestOrbitSampler:
 
     def test_prefix_of_a_longer_draw(self):
         a, b = self._unit_pair(7, 1)
-        longer = _sample_t(a, b, 1000, np.random.default_rng(77))
+        longer = self._draw(a, b, 1000, np.random.default_rng(77))
         for m in (1, 2, 999):
-            assert np.array_equal(_sample_t(a, b, m, np.random.default_rng(77)), longer[:m])
+            assert np.array_equal(self._draw(a, b, m, np.random.default_rng(77)), longer[:m])
 
     @pytest.mark.parametrize("n", [2, 3, 60, 10 ** 4])
     def test_two_gamma_variates_per_sample(self, n):
@@ -299,7 +324,7 @@ class TestOrbitSampler:
         # which leaves both generators in the same state: no O(n) draw
         a, b = self._unit_pair(n, n)
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-        t = _sample_t(a, b, 300, rng)
+        t = self._draw(a, b, 300, rng)
         g = twin.standard_gamma((n - 1) / 2, (300, 2))
         u = (g[:, 0] - g[:, 1]) / (g[:, 0] + g[:, 1])
         assert np.array_equal(t, a[0] * b[0] + (np.linalg.norm(a[1:]) * np.linalg.norm(b[1:])) * u)
@@ -309,7 +334,7 @@ class TestOrbitSampler:
     def test_exact_central_moments(self, n):
         # d = t - a0 b0 = |a'| |b'| u with E u^2 = 1/n, E u^4 = 3/(n(n+2))
         a, b = self._unit_pair(n, 700 + n)
-        d = _sample_t(a, b, self.COUNT, np.random.default_rng(800 + n)) - a[0] * b[0]
+        d = self._draw(a, b, self.COUNT, np.random.default_rng(800 + n)) - a[0] * b[0]
         s2 = float(a[1:] @ a[1:]) * float(b[1:] @ b[1:])
         for values, want in ((d ** 2, s2 / n), (d ** 4, 3 * s2 * s2 / (n * (n + 2)))):
             se = float(np.std(values, ddof=1)) / math.sqrt(values.size)
