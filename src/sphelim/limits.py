@@ -93,17 +93,17 @@ class DirectSystem:
 
 
 def _n_for_rank(fam, rank: int) -> int:
-    for n in (rank, rank + 1):
-        if n >= fam.min_n and fam.rank_of(n) == rank:
-            return n
-    raise ValueError(f"family {fam.slug!r} has no member of rank {rank}")
+    """The n of rank ``rank``, inverting ``FamilyRow.rank_of``."""
+    n = rank + (fam.psi_label == "A")
+    if n < fam.min_n:
+        raise ValueError(f"family {fam.slug!r} has no member of rank {rank}")
+    return n
 
 
 def datum_at_level(system: DirectSystem, level: int) -> SpaceDatum:
-    fam = FAMILIES[system.family]
     if system.mode == MODE_FINITE:
         return build_space(system.family, p=system.fixed_p, q=level)
-    return build_space(system.family, n=_n_for_rank(fam, level))
+    return build_space(system.family, n=_n_for_rank(FAMILIES[system.family], level))
 
 
 def propagate(system: DirectSystem, level: int) -> tuple[SpaceDatum, Weight]:
@@ -228,8 +228,8 @@ def _chain_table(system: DirectSystem) -> tuple[Fraction, tuple[int, int, list, 
     its integer terms (``cfunc._root_terms``).
 
     Finite rank (p fixed, level q): only the half-root multiplicity
-    m_half = d(q - p) moves with q (``rootdata.FAMILIES``), and 4 rho is
-    linear in the multiplicities, so on every root 8 rho_alpha,
+    m_half = d(q - p) moves with q (``rootdata.FamilyRow.mults_of``), and
+    4 rho is linear in the multiplicities, so on every root 8 rho_alpha,
     8 x_alpha = 2(m_half + 2) and 8 y_alpha = 2(m_half + 2m) are affine in
     q, while mu_alpha depends only on the fixed weight.  For q >= p+1 the
     root set is fixed as well (at q = p the half roots, and on grass-real
@@ -245,7 +245,8 @@ def _chain_table(system: DirectSystem) -> tuple[Fraction, tuple[int, int, list, 
     weight fixes; mu_alpha is fixed, and rho_alpha and the last run's
     length grow by a fixed step per level.  A level read whose
     multiplicities differ from the level below raises ArithmeticError; no
-    catalog chain has one, as every infinite-rank family's are constants.
+    catalog chain has one, as ``FamilyRow.mults_of`` gives every
+    infinite-rank family constant ones.
 
     Either way every term is affine in t, so its values t1, t2 at the first
     two readings give the form (t2 - t1) t + t1, once t3 - t2 = t2 - t1 is

@@ -122,7 +122,7 @@ class SpaceDatum:
     the distinguished end simple root (f_j for B, 2f_j for C, everything for
     A and D, whose roots form a single Weyl orbit); mult_half to the halves
     of the alpha1-orbit roots.  d is the real dimension of the base field
-    for Grassmannian rows, None otherwise.
+    for Grassmannian rows, None otherwise.  The rule is ``FamilyRow.mults_of``.
     """
 
     family: str
@@ -193,61 +193,62 @@ class SpaceDatum:
 
 @dataclass(frozen=True)
 class FamilyRow:
+    """One catalog row as data; ``rank_of`` and ``mults_of`` are its rule.
+
+    A Grassmannian row (``d`` set) holds the p-planes in F^(p+q), d = dim_R F:
+    rank p, multiplicities (d, d-1, d(q-p)) on the middle, alpha1 and half
+    orbits.  Any other row has rank n (n-1 on type A) and constants ``mults``.
+    """
+
     slug: str
     row: str
     group: str
     subgroup: str
     psi_label: str
-    param_kind: str  # "n" or "pq"
-    mult_middle_of: object  # callable or int
-    mult_alpha1_of: object
-    mult_half_of: object
-    d: int | None
-    rank_of: object  # callable param(s) -> rank
-    min_n: int = 1
+    d: int | None = None
+    mults: tuple[int, int, int] | None = None  # (middle, alpha1, half)
     fixed_p: int | None = None
 
+    @property
+    def param_kind(self) -> str:
+        return "n" if self.d is None else "pq"
 
-def _const(v):
-    return lambda *_: v
+    @property
+    def min_n(self) -> int:
+        return _MIN_RANK[self.psi_label] + (self.psi_label == "A")
+
+    def rank_of(self, *args: int) -> int:
+        """The rank at (p, q) or (n,): p on a Grassmannian (type C), n - 1
+        on type A and n otherwise."""
+        return args[0] - (self.psi_label == "A")
+
+    def mults_of(self, *args: int) -> tuple[int, int, int]:
+        """(mult_middle, mult_alpha1, mult_half) at parameters (p, q) or (n,)."""
+        if self.d is None:
+            return self.mults
+        p, q = args
+        return self.d, self.d - 1, self.d * (q - p)
 
 
-FAMILIES: dict[str, FamilyRow] = {}
-
-
-def _register(row: FamilyRow):
-    FAMILIES[row.slug] = row
-
-
-_register(FamilyRow("group-su", "1", "SU(n) x SU(n)", "diagonal SU(n)", "A", "n",
-                    _const(2), _const(2), _const(0), None, lambda n: n - 1, min_n=2))
-_register(FamilyRow("group-spin-odd", "2", "Spin(2n+1) x Spin(2n+1)", "diagonal Spin(2n+1)", "B", "n",
-                    _const(2), _const(2), _const(0), None, lambda n: n))
-_register(FamilyRow("group-spin-even", "3", "Spin(2n) x Spin(2n)", "diagonal Spin(2n)", "D", "n",
-                    _const(2), _const(2), _const(0), None, lambda n: n, min_n=4))
-_register(FamilyRow("group-sp", "4", "Sp(n) x Sp(n)", "diagonal Sp(n)", "C", "n",
-                    _const(2), _const(2), _const(0), None, lambda n: n))
-_register(FamilyRow("grass-complex", "5", "SU(p+q)", "S(U(p) x U(q))", "C", "pq",
-                    _const(2), _const(1), lambda p, q: 2 * (q - p), 2, lambda p, q: p))
-_register(FamilyRow("su-over-so", "6", "SU(n)", "SO(n)", "A", "n",
-                    _const(1), _const(1), _const(0), None, lambda n: n - 1, min_n=2))
-_register(FamilyRow("su-over-sp", "7", "SU(2n)", "Sp(n)", "A", "n",
-                    _const(4), _const(4), _const(0), None, lambda n: n - 1, min_n=2))
-_register(FamilyRow("grass-real", "8", "SO(p+q)", "S(O(p) x O(q))", "C", "pq",
-                    _const(1), _const(0), lambda p, q: q - p, 1, lambda p, q: p))
-_register(FamilyRow("so-over-u-even", "9.1", "SO(4n)", "U(2n)", "C", "n",
-                    _const(4), _const(1), _const(0), None, lambda n: n))
-_register(FamilyRow("so-over-u-odd", "9.2", "SO(4n+2)", "U(2n+1)", "C", "n",
-                    _const(4), _const(1), _const(4), None, lambda n: n))
-_register(FamilyRow("grass-quaternion", "10", "Sp(p+q)", "Sp(p) x Sp(q)", "C", "pq",
-                    _const(4), _const(3), lambda p, q: 4 * (q - p), 4, lambda p, q: p))
-_register(FamilyRow("sp-over-u", "11", "Sp(n)", "U(n)", "C", "n",
-                    _const(1), _const(0), _const(0), None, lambda n: n))
-# convenience alias: the p = 1 real Grassmannian chain, the real projective
-# spaces RP^q (c_value at (k,) is the degree-2k zonal coefficient on S^q)
-_register(FamilyRow("rank1-real", "8", "SO(1+q)", "S(O(1) x O(q))", "C", "pq",
-                    _const(1), _const(0), lambda p, q: q - p, 1, lambda p, q: 1,
-                    fixed_p=1))
+FAMILIES: dict[str, FamilyRow] = {row.slug: row for row in (
+    FamilyRow("group-su", "1", "SU(n) x SU(n)", "diagonal SU(n)", "A", mults=(2, 2, 0)),
+    FamilyRow("group-spin-odd", "2", "Spin(2n+1) x Spin(2n+1)", "diagonal Spin(2n+1)", "B",
+              mults=(2, 2, 0)),
+    FamilyRow("group-spin-even", "3", "Spin(2n) x Spin(2n)", "diagonal Spin(2n)", "D",
+              mults=(2, 2, 0)),
+    FamilyRow("group-sp", "4", "Sp(n) x Sp(n)", "diagonal Sp(n)", "C", mults=(2, 2, 0)),
+    FamilyRow("grass-complex", "5", "SU(p+q)", "S(U(p) x U(q))", "C", d=2),
+    FamilyRow("su-over-so", "6", "SU(n)", "SO(n)", "A", mults=(1, 1, 0)),
+    FamilyRow("su-over-sp", "7", "SU(2n)", "Sp(n)", "A", mults=(4, 4, 0)),
+    FamilyRow("grass-real", "8", "SO(p+q)", "S(O(p) x O(q))", "C", d=1),
+    FamilyRow("so-over-u-even", "9.1", "SO(4n)", "U(2n)", "C", mults=(4, 1, 0)),
+    FamilyRow("so-over-u-odd", "9.2", "SO(4n+2)", "U(2n+1)", "C", mults=(4, 1, 4)),
+    FamilyRow("grass-quaternion", "10", "Sp(p+q)", "Sp(p) x Sp(q)", "C", d=4),
+    FamilyRow("sp-over-u", "11", "Sp(n)", "U(n)", "C", mults=(1, 0, 0)),
+    # convenience alias: the p = 1 real Grassmannian chain, the real projective
+    # spaces RP^q (c_value at (k,) is the degree-2k zonal coefficient on S^q)
+    FamilyRow("rank1-real", "8", "SO(1+q)", "S(O(1) x O(q))", "C", d=1, fixed_p=1),
+)}
 
 
 def build_space(family: str, p: int | None = None, q: int | None = None,
@@ -283,20 +284,12 @@ def build_space(family: str, p: int | None = None, q: int | None = None,
             raise ValueError(f"family {family!r} needs n >= {fam.min_n}, got {n}")
         params = (("n", n),)
         args = (n,)
-    return SpaceDatum(
-        family=family,
-        row=fam.row,
-        psi=RootSystemType(fam.psi_label, fam.rank_of(*args)),
-        params=params,
-        mult_middle=fam.mult_middle_of(*args),
-        mult_alpha1=fam.mult_alpha1_of(*args),
-        mult_half=fam.mult_half_of(*args),
-        d=fam.d,
-    )
+    return SpaceDatum(family, fam.row, RootSystemType(fam.psi_label, fam.rank_of(*args)),
+                      params, *fam.mults_of(*args), d=fam.d)
 
 
 def catalog_rows() -> list[FamilyRow]:
-    """All registered rows, primary catalog first, alias last."""
+    """All catalog rows, primary catalog first, alias last."""
     return list(FAMILIES.values())
 
 

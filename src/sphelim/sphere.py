@@ -24,6 +24,7 @@ The full Haar sampler (QR with Mezzadri's sign fix) stays as the public
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -42,11 +43,16 @@ def _blocks(seed: int, count: int) -> Iterator[tuple[int, np.random.Generator]]:
         yield min(_BLOCK, count - done), np.random.default_rng(seq)
 
 
-def _validate_nk(n: int, k: int):
+def _validate_nk(n: int, k: int) -> tuple[int, int]:
+    try:
+        n, k = operator.index(n), operator.index(k)
+    except TypeError:
+        raise ValueError(f"n and k must be integers, got n={n!r}, k={k!r}") from None
     if n < 2:
         raise ValueError(f"sphere dimension must be at least 2, got {n}")
     if k < 0:
         raise ValueError(f"degree must be nonnegative, got {k}")
+    return n, k
 
 
 def _as_unit_interval(t) -> np.ndarray:
@@ -86,29 +92,28 @@ def _eval_with_derivatives(n: int, k: int, t: np.ndarray):
 
 
 def zonal_eval(n: int, k: int, t):
-    """R_k on the n-sphere at t (scalar or array in [-1, 1])."""
-    _validate_nk(n, k)
+    """R_k on the n-sphere at t in [-1, 1]: a float for scalar t, else an array."""
+    n, k = _validate_nk(n, k)
     arr = _as_unit_interval(t)
     value = _eval_values(n, k, arr)
-    return float(value) if np.isscalar(t) or getattr(t, "ndim", 0) == 0 else value
+    return float(value) if arr.ndim == 0 else value
 
 
 def ode_residual(n: int, k: int, t):
-    """(1-t^2) R'' - n t R' + k(k+n-1) R; identically zero in exact arithmetic."""
-    _validate_nk(n, k)
+    """(1-t^2) R'' - n t R' + k(k+n-1) R; identically zero in exact
+    arithmetic.  A float for a scalar t, else an array of t's shape."""
+    n, k = _validate_nk(n, k)
     arr = _as_unit_interval(t)
     p, dp, ddp = _eval_with_derivatives(n, k, arr)
     res = (1.0 - arr * arr) * ddp - n * arr * dp + k * (k + n - 1) * p
-    return float(res) if np.isscalar(t) or getattr(t, "ndim", 0) == 0 else res
+    return float(res) if arr.ndim == 0 else res
 
 
 class ZonalFunction:
     """Degree-k zonal function on the n-sphere, callable on [-1, 1]."""
 
     def __init__(self, n: int, k: int):
-        _validate_nk(n, k)
-        self.n = int(n)
-        self.k = int(k)
+        self.n, self.k = _validate_nk(n, k)
 
     def __call__(self, t):
         return zonal_eval(self.n, self.k, t)
@@ -271,7 +276,7 @@ def mc_functional_equation(n: int, k: int, x, y, samples: int, seed: int) -> MCR
     mean and std_error 0.  Needs at least two samples, since one has no
     standard error.
     """
-    _validate_nk(n, k)
+    n, k = _validate_nk(n, k)
     if samples < 1:
         raise ValueError("need at least one sample")
     if samples == 1:

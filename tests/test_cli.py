@@ -61,6 +61,14 @@ class TestCatalog:
             assert datum.mult_middle == example["mult_middle"]
             assert [fmt_fraction(c) for c in rho(datum)] == example["rho"]
 
+    def test_pinned_bytes(self, capsys):
+        # taken while each catalog row still carried its own callables for
+        # the rank and the multiplicities; the rows as data must not move it
+        code, out, _ = run_cli(capsys, "catalog")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "04dbb9a0b4c664c58a1fed81e83458827f8a36fa6b4b9d7e428fbb32a4f588e6")
+
 
 class TestCEval:
     def test_exact_values(self, capsys):

@@ -63,6 +63,20 @@ class TestDirectSystem:
         with pytest.raises(ValueError, match="no member of rank 3"):
             DirectSystem("group-spin-even", (0, 0, 1))
 
+    @pytest.mark.parametrize("family", INFINITE_FAMILIES)
+    def test_n_for_rank_inverts_the_rank_rule(self, family):
+        # the closed form finds the one n whose rank is the level, or names
+        # the rank no member has
+        fam = FAMILIES[family]
+        for rank in range(9):
+            members = [n for n in range(fam.min_n, 11) if fam.rank_of(n) == rank]
+            if members:
+                assert [limits._n_for_rank(fam, rank)] == members
+                assert datum_at_level(DirectSystem(family, (1,) * rank), rank).rank == rank
+            else:
+                with pytest.raises(ValueError, match=f"has no member of rank {rank}$"):
+                    limits._n_for_rank(fam, rank)
+
     def test_modes_and_base_level(self):
         finite = DirectSystem("grass-quaternion", (1, 0), fixed_p=2)
         assert finite.mode == MODE_FINITE
@@ -300,9 +314,9 @@ class TestInfiniteChains:
         # a middle multiplicity that grows with n changes the roots below the
         # new row; every level is still a valid space, but the table must
         # raise rather than read its step ratio from the new row
-        row = FAMILIES["group-sp"]
-        monkeypatch.setitem(FAMILIES, "group-sp",
-                            dataclasses.replace(row, mult_middle_of=lambda n: n))
+        real = limits.datum_at_level
+        monkeypatch.setattr(limits, "datum_at_level", lambda system, level: dataclasses.replace(
+            real(system, level), mult_middle=level))  # level n is the rank n
         system = DirectSystem("group-sp", (1,))
         c_value(*propagate(system, 5))
         with pytest.raises(ArithmeticError, match="internal error: level 2 does not extend"):
@@ -653,8 +667,9 @@ class TestGrassmannianTable:
                                                      mult_half, error):
         # a half-root multiplicity that is not d(q - p) breaks what the table
         # relies on; the table must raise, not return values
-        row = FAMILIES[family]
-        monkeypatch.setitem(FAMILIES, family, dataclasses.replace(row, mult_half_of=mult_half))
+        real = limits.datum_at_level
+        monkeypatch.setattr(limits, "datum_at_level", lambda system, level: dataclasses.replace(
+            real(system, level), mult_half=mult_half(system.fixed_p, level)))
         system = DirectSystem(family, (1, 1), fixed_p=2)
         c_value(*propagate(system, 5))  # every level is still a valid space
         with pytest.raises(ArithmeticError, match=error):

@@ -2,6 +2,7 @@
 spherical lattice, and constructor validation."""
 
 import dataclasses
+import hashlib
 import pickle
 from fractions import Fraction
 
@@ -93,6 +94,58 @@ class TestCatalog:
             build_space("grass-quaternion", p=3, q=2)
         with pytest.raises(ValueError, match="fixes p = 1"):
             build_space("rank1-real", p=2, q=3)
+
+    def test_rows_pinned(self):
+        # every catalog member at p <= 4, q = p..p+5 and n = min_n..8, as
+        # (slug, params, rank, mult_middle, mult_alpha1, mult_half, d); the
+        # digest was taken when each row still carried its own callables
+        sweep = []
+        for fam in catalog_rows():
+            if fam.param_kind == "pq":
+                data = [build_space(fam.slug, p=p, q=q)
+                        for p in ([fam.fixed_p] if fam.fixed_p else range(1, 5))
+                        for q in range(p, p + 6)]
+            else:
+                data = [build_space(fam.slug, n=n) for n in range(fam.min_n, 9)]
+            sweep += [(d.family, d.params, d.rank, d.mult_middle, d.mult_alpha1,
+                       d.mult_half, d.d) for d in data]
+        assert len(sweep) == 144
+        assert hashlib.sha256(repr(sweep).encode()).hexdigest() == (
+            "64104c36beab4117217a95984357e7cf5db429da0e3878ba49260177bd833c0d")
+
+    def test_rows_are_data(self):
+        for fam in catalog_rows():
+            assert not any(callable(getattr(fam, f.name)) for f in dataclasses.fields(fam))
+            assert (fam.d is None) != (fam.mults is None)
+            assert fam.param_kind == ("n" if fam.d is None else "pq")
+
+    @pytest.mark.parametrize("slug, d", [("grass-real", 1), ("grass-complex", 2),
+                                         ("grass-quaternion", 4), ("rank1-real", 1)])
+    def test_grassmannian_rule(self, slug, d):
+        # p-planes over a field of real dimension d: rank p, and the middle,
+        # alpha1 and half multiplicities d, d - 1, d(q - p)
+        fam = FAMILIES[slug]
+        for p in [fam.fixed_p] if fam.fixed_p else range(1, 5):
+            for q in range(p, p + 6):
+                datum = build_space(slug, p=p, q=q)
+                assert fam.rank_of(p, q) == datum.rank == p
+                assert fam.mults_of(p, q) == (d, d - 1, d * (q - p)) == (
+                    datum.mult_middle, datum.mult_alpha1, datum.mult_half)
+                assert datum.d == d
+
+    def test_single_parameter_rule(self):
+        # rank n, n - 1 on type A; the least n is the label's least rank,
+        # plus one on type A
+        expected_min_n = {"A": 2, "B": 1, "C": 1, "D": 4}
+        for fam in catalog_rows():
+            if fam.d is not None:
+                continue
+            assert fam.min_n == expected_min_n[fam.psi_label]
+            for n in range(fam.min_n, 9):
+                datum = build_space(fam.slug, n=n)
+                assert fam.rank_of(n) == datum.rank == n - (fam.psi_label == "A")
+                assert fam.mults_of(n) == fam.mults == (
+                    datum.mult_middle, datum.mult_alpha1, datum.mult_half)
 
     def test_min_n_bounds(self):
         with pytest.raises(ValueError, match="n >= 2"):

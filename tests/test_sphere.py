@@ -157,6 +157,41 @@ class TestValidation:
     def test_zonal_function_repr(self):
         assert repr(ZonalFunction(4, 2)) == "ZonalFunction(n=4, k=2)"
 
+    @pytest.mark.parametrize("n, k", [(3.5, 2), (3, 2.5), (3.0, 2), (3, np.float64(2.0)), ("3", 2)])
+    def test_non_integral_dimension_or_degree(self, n, k):
+        # a float is refused, not truncated (ZonalFunction) or read as a real
+        # parameter of the recurrence (zonal_eval)
+        for call in (lambda: zonal_eval(n, k, 0.1), lambda: ode_residual(n, k, 0.1),
+                     lambda: ZonalFunction(n, k),
+                     lambda: mc_functional_equation(n, k, np.eye(4), np.eye(4), 2, 0)):
+            with pytest.raises(ValueError, match="must be integers"):
+                call()
+
+    def test_numpy_integers_are_integers(self):
+        fn = ZonalFunction(np.int64(5), np.int32(3))
+        assert (fn.n, fn.k) == (5, 3) and type(fn.n) is int and type(fn.k) is int
+        assert fn(0.3) == zonal_eval(5, 3, 0.3) == zonal_eval(np.int64(5), np.uint8(3), 0.3)
+        assert ode_residual(np.int16(5), np.int64(3), 0.3) == ode_residual(5, 3, 0.3)
+
+
+class TestShapes:
+    @pytest.mark.parametrize("points", [[0.1, 0.2, -0.7], (0.1, 0.2, -0.7), [[0.1], [-1.0]], [],
+                                        [0.5], (1.0,)])
+    def test_lists_and_tuples_read_as_arrays(self, points):
+        arr = np.array(points, dtype=float)
+        for fn in (zonal_eval, ode_residual):
+            value = fn(6, 3, points)
+            assert isinstance(value, np.ndarray) and value.shape == arr.shape
+            assert np.array_equal(value, fn(6, 3, arr))
+        assert np.array_equal(ZonalFunction(6, 3)(points), zonal_eval(6, 3, arr))
+
+    @pytest.mark.parametrize("t", [0.25, 1, np.float32(0.25), np.array(0.25), np.int64(-1)])
+    def test_zero_dimensional_reads_as_float(self, t):
+        for fn in (zonal_eval, ode_residual):
+            value = fn(6, 3, t)
+            assert type(value) is float
+            assert value == fn(6, 3, np.array([t], dtype=float))[0]
+
 
 class TestLimitZonal:
     def test_matrix_entry_power(self):
