@@ -28,9 +28,10 @@ from .rootdata import (
     SpaceDatum,
     Weight,
     _as_f_vector,
-    _f_ints_from_xi,
+    _as_int,
     _first_integrality_violation,
     _rho4,
+    _xi_f_ints,
     iter_root_support,
     lambda_alpha,
     pad_xi_coeffs,
@@ -65,7 +66,7 @@ class CFactorParams:
     @classmethod
     def from_multiplicities(cls, mu_alpha: int, rho_alpha, m_alpha: int, m_half: int):
         return cls(
-            mu_alpha=int(mu_alpha),
+            mu_alpha=_as_int(mu_alpha, "mu_alpha"),
             rho_alpha=Fraction(rho_alpha),
             x_alpha=Fraction(m_half + 2, 4),
             y_alpha=Fraction(m_half + 2 * m_alpha, 4),
@@ -81,7 +82,7 @@ class CFactorParams:
         mu_a = lambda_alpha(mu, root)
         if mu_a.denominator != 1 or mu_a < 0:
             raise ValueError(f"pairing of mu with {root!r} is {mu_a}, not a nonnegative integer")
-        return cls.from_multiplicities(int(mu_a), lambda_alpha(rho(datum), root), m, mh)
+        return cls.from_multiplicities(mu_a.numerator, lambda_alpha(rho(datum), root), m, mh)
 
 
 def c_factor(params: CFactorParams) -> Fraction:
@@ -182,16 +183,8 @@ def c_value(datum: SpaceDatum, mu) -> Fraction:
         if coeffs is None:
             _reject(datum, mu.coeffs_f)
     else:
-        coeffs = _xi_f_ints(datum, mu)
+        coeffs = _xi_f_ints(datum.psi, mu)
     return Fraction(*_product(_rows(datum, coeffs, 0)))
-
-
-def _xi_f_ints(datum: SpaceDatum, mu) -> list[int]:
-    """Integer f-coefficients of the fundamental-weight combination mu,
-    after checking that mu has one coefficient per simple root."""
-    if len(mu) != datum.psi.rank:
-        raise ValueError(f"need {datum.psi.rank} coefficients, got {len(mu)}")
-    return _f_ints_from_xi(datum.psi, tuple(int(k) for k in mu))
 
 
 def _product(rows: Iterable[list[tuple[int, int, int, int, int]]]) -> tuple[int, int]:
@@ -398,7 +391,7 @@ def c_oracle(datum: SpaceDatum, mu) -> float:
     r4 = _rho4(datum)
     if isinstance(mu, Weight):
         return _gamma_sum(datum, _quarter_ints(datum, mu, r4))
-    return _gamma_sum(datum, [4 * a + r for a, r in zip(_xi_f_ints(datum, mu), r4)])
+    return _gamma_sum(datum, [4 * a + r for a, r in zip(_xi_f_ints(datum.psi, mu), r4)])
 
 
 def overlap_highest_weight(datum: SpaceDatum, mu) -> float:

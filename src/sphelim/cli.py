@@ -4,7 +4,8 @@ Subcommands: ``catalog`` (the family table as JSON), ``c-eval`` (exact
 overlap constants), ``limit-scan`` (chain scan plus convergence verdict),
 ``sphere-verify`` (zonal closed forms, ODE residual, Monte-Carlo identity),
 ``mc-check`` (standalone Monte-Carlo run).  ``sphelim --check`` runs the
-built-in invariant suite and exits nonzero on any failure.
+built-in invariant suite and exits nonzero on any failure.  Only these last
+three import ``sphere``, and with it NumPy, and only when they run.
 
 Output conventions: rationals always print as "numerator/denominator",
 floats as format(x, '.17g'), JSON with sorted keys.  All randomness is
@@ -20,8 +21,6 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .cfunc import c_oracle, c_value
@@ -40,13 +39,6 @@ from .rootdata import (
     pad_xi_coeffs,
     rho,
     simple_roots,
-)
-from .sphere import (
-    mc_functional_equation,
-    ode_residual,
-    planar_rotation,
-    haar_rotation,
-    zonal_eval,
 )
 
 
@@ -219,6 +211,8 @@ def cmd_limit_scan(args) -> int:
 
 
 def cmd_sphere_verify(args) -> int:
+    import numpy as np
+    from .sphere import mc_functional_equation, ode_residual, planar_rotation, zonal_eval
     n, k = args.n, args.k
     if args.grid < 1:
         raise ValueError("grid must be at least 1")
@@ -244,6 +238,7 @@ def cmd_sphere_verify(args) -> int:
 
 
 def cmd_mc_check(args) -> int:
+    from .sphere import haar_rotation, mc_functional_equation, planar_rotation
     n, k = args.n, args.k
     if not math.isfinite(args.max_z):
         raise ValueError(f"max-z must be a finite number, got {args.max_z}")
@@ -268,6 +263,10 @@ def cmd_mc_check(args) -> int:
 
 
 def _self_checks():
+    import numpy as np
+    from .sphere import (haar_rotation, haar_sample_stabilizer, mc_functional_equation,
+                         ode_residual, planar_rotation, zonal_eval)
+
     def rank_one_values():
         datum = build_space("rank1-real", q=2)
         assert c_value(datum, (1,)) == Fraction(3, 8)
@@ -344,7 +343,6 @@ def _self_checks():
         eye = np.eye(5)
         assert max(float(np.max(np.abs(m.T @ m - eye))) for m in mats) < 1e-12
         assert np.allclose(np.linalg.det(mats), 1.0, atol=1e-9)
-        from .sphere import haar_sample_stabilizer
         stab = haar_sample_stabilizer(4, 8, seed=7)
         x = mats[0]
         for h in stab:

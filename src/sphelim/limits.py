@@ -28,6 +28,7 @@ from .rootdata import (
     FAMILIES,
     SpaceDatum,
     Weight,
+    _as_ints,
     _f_ints_from_xi,
     build_space,
     pad_xi_coeffs,
@@ -58,7 +59,7 @@ class DirectSystem:
         fam = FAMILIES.get(self.family)
         if fam is None:
             raise ValueError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "base_coeffs", tuple(int(k) for k in self.base_coeffs))
+        object.__setattr__(self, "base_coeffs", _as_ints(self.base_coeffs))
         if any(k < 0 for k in self.base_coeffs):
             raise ValueError("base coefficients must be nonnegative")
         if fam.param_kind == "pq":
@@ -146,7 +147,7 @@ class CSequence:
         return self.levels[-1], self.values[-1]
 
     def extended(self, more_levels: Sequence[int]) -> "CSequence":
-        fresh = sorted(set(int(lv) for lv in more_levels) - set(self.levels))
+        fresh = sorted(set(_as_ints(more_levels, "level")) - set(self.levels))
         if not fresh:
             return self
         held = bisect.bisect(self.levels, fresh[0])

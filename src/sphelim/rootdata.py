@@ -15,6 +15,7 @@ root of the space at all; evaluators skip it.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence, Union
@@ -23,6 +24,24 @@ ORBIT_ALPHA1 = "alpha1_orbit"
 ORBIT_MIDDLE = "middle"
 
 _MIN_RANK = {"A": 1, "B": 1, "C": 1, "D": 4}
+
+
+def _as_int(value, what: str) -> int:
+    """``operator.index(value)``, the package's one integer rule: a float,
+    Fraction or string raises ValueError naming ``what``, never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _as_ints(values, what: str = "coefficient") -> tuple[int, ...]:
+    """``_as_int`` on each entry, naming a bad one by its position."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        return tuple(_as_int(v, f"{what} {i}") for i, v in enumerate(values))
 
 
 class RootPattern(NamedTuple):
@@ -175,10 +194,7 @@ class SpaceDatum:
         return Fraction(self.mult_middle, 2)
 
     def param(self, name: str) -> int:
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return dict(self.params)[name]
 
     def mults_for(self, orbit: str) -> tuple[int, int]:
         """(multiplicity of alpha, multiplicity of alpha/2) for an orbit."""
@@ -255,8 +271,8 @@ def build_space(family: str, p: int | None = None, q: int | None = None,
                 n: int | None = None) -> SpaceDatum:
     """Instantiate one catalog family member.
 
-    Grassmannian rows take p >= 1 and q >= p (rank1-real fixes p = 1);
-    the remaining rows take the single group parameter n.
+    Grassmannian rows take integers p >= 1 and q >= p (rank1-real fixes
+    p = 1); the remaining rows take the single integer group parameter n.
     """
     try:
         fam = FAMILIES[family]
@@ -264,28 +280,28 @@ def build_space(family: str, p: int | None = None, q: int | None = None,
         raise ValueError(f"unknown family {family!r}; see catalog_rows()") from None
     if fam.param_kind == "pq":
         if fam.fixed_p is not None:
-            if p is not None and p != fam.fixed_p:
+            if p is not None and _as_int(p, "p") != fam.fixed_p:
                 raise ValueError(f"family {family!r} fixes p = {fam.fixed_p}")
             p = fam.fixed_p
         if n is not None:
             raise ValueError(f"family {family!r} takes (p, q), not n")
         if p is None or q is None:
             raise ValueError(f"family {family!r} needs p and q")
+        p, q = _as_int(p, "p"), _as_int(q, "q")
         if p < 1 or q < p:
             raise ValueError(f"need 1 <= p <= q, got p={p}, q={q}")
-        params = (("p", p), ("q", q))
         args = (p, q)
     else:
         if p is not None or q is not None:
             raise ValueError(f"family {family!r} takes n, not (p, q)")
         if n is None:
             raise ValueError(f"family {family!r} needs n")
+        n = _as_int(n, "n")
         if n < fam.min_n:
             raise ValueError(f"family {family!r} needs n >= {fam.min_n}, got {n}")
-        params = (("n", n),)
         args = (n,)
     return SpaceDatum(family, fam.row, RootSystemType(fam.psi_label, fam.rank_of(*args)),
-                      params, *fam.mults_of(*args), d=fam.d)
+                      tuple(zip(fam.param_kind, args)), *fam.mults_of(*args), d=fam.d)
 
 
 def catalog_rows() -> list[FamilyRow]:
@@ -395,6 +411,14 @@ def _f_ints_from_xi(psi: RootSystemType, coeffs: Sequence[int]) -> list[int]:
     return f
 
 
+def _xi_f_ints(psi: RootSystemType, coeffs: Sequence[int]) -> list[int]:
+    """``_f_ints_from_xi`` after checking that coeffs holds one integer
+    (``_as_ints``) per simple root."""
+    if len(coeffs) != psi.rank:
+        raise ValueError(f"need {psi.rank} coefficients, got {len(coeffs)}")
+    return _f_ints_from_xi(psi, _as_ints(coeffs))
+
+
 # Entries kept by the integer-Fraction memo: the f-coordinates of the
 # weights in common use are small integers, and a long run of large ones
 # evicts instead of growing the memo.
@@ -416,11 +440,8 @@ def weight_from_xi(obj: Union[SpaceDatum, RootSystemType], coeffs: Sequence[int]
     (``_f_ints_from_xi``), each taken as a shared Fraction from the bounded
     memo ``_int_fraction``.
     """
-    psi = _psi_of(obj)
-    if len(coeffs) != psi.rank:
-        raise ValueError(f"need {psi.rank} coefficients, got {len(coeffs)}")
-    coeffs = tuple(int(k) for k in coeffs)
-    return Weight(tuple(map(_int_fraction, _f_ints_from_xi(psi, coeffs))), coeffs)
+    coeffs = _as_ints(coeffs)
+    return Weight(tuple(map(_int_fraction, _xi_f_ints(_psi_of(obj), coeffs))), coeffs)
 
 
 def pad_xi_coeffs(coeffs: Sequence[int], rank: int) -> tuple[int, ...]:
@@ -429,7 +450,7 @@ def pad_xi_coeffs(coeffs: Sequence[int], rank: int) -> tuple[int, ...]:
     This is how a dominant weight at a lower rank propagates up a chain:
     the coefficients are kept and the new simple roots get coefficient 0.
     """
-    coeffs = tuple(int(k) for k in coeffs)
+    coeffs = _as_ints(coeffs)
     if len(coeffs) > rank:
         raise ValueError(f"cannot pad {len(coeffs)} coefficients down to rank {rank}")
     return coeffs + (0,) * (rank - len(coeffs))

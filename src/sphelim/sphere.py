@@ -24,10 +24,11 @@ The full Haar sampler (QR with Mezzadri's sign fix) stays as the public
 from __future__ import annotations
 
 import math
-import operator
 from typing import Iterator, NamedTuple
 
 import numpy as np
+
+from .rootdata import _as_int, _as_ints
 
 _BLOCK = 4096  # fixed RNG block: sample i depends only on (seed, i), not count
 
@@ -45,8 +46,8 @@ def _blocks(seed: int, count: int) -> Iterator[tuple[int, np.random.Generator]]:
 
 def _validate_nk(n: int, k: int) -> tuple[int, int]:
     try:
-        n, k = operator.index(n), operator.index(k)
-    except TypeError:
+        n, k = _as_ints((n, k))
+    except ValueError:
         raise ValueError(f"n and k must be integers, got n={n!r}, k={k!r}") from None
     if n < 2:
         raise ValueError(f"sphere dimension must be at least 2, got {n}")
@@ -150,6 +151,7 @@ def _check_rotation(x: np.ndarray, dim: int, tol: float = 1e-12) -> np.ndarray:
 def limit_zonal(k: int, x) -> float:
     """Pointwise n -> infinity limit of the zonal functions at a rotation:
     the k-th power of the matrix entry fixing the base direction."""
+    k = _as_int(k, "degree")
     if k < 0:
         raise ValueError(f"degree must be nonnegative, got {k}")
     x = np.asarray(x, dtype=float)
@@ -176,6 +178,7 @@ def haar_rotation(dim: int, count: int, seed: int) -> np.ndarray:
     Reproducible: the i-th sample depends only on (seed, i), because draws
     happen in fixed blocks of 4096 with one child RNG stream per block.
     """
+    dim, count, seed = _as_int(dim, "dim"), _as_int(count, "count"), _as_int(seed, "seed")
     if dim < 1 or count < 0:
         raise ValueError("need dim >= 1 and count >= 0")
     return np.concatenate([np.empty((0, dim, dim))] +
@@ -189,7 +192,7 @@ def haar_sample_stabilizer(n: int, count: int, seed: int) -> np.ndarray:
     The embedded first row and column are exactly (1, 0, ..., 0), so
     conjugating by these samples preserves the [0, 0] entry to the bit.
     """
-    if n < 1:
+    if _as_int(n, "n") < 1:
         raise ValueError("need n >= 1")
     small = haar_rotation(n, count, seed)
     out = np.zeros((count, n + 1, n + 1))
@@ -200,7 +203,7 @@ def haar_sample_stabilizer(n: int, count: int, seed: int) -> np.ndarray:
 
 def planar_rotation(dim: int, theta: float, axes: tuple[int, int] = (0, 1)) -> np.ndarray:
     """Rotation by theta in one coordinate plane of R^dim."""
-    i, j = axes
+    dim, (i, j) = _as_int(dim, "dim"), _as_ints(axes, "axis")
     if not (0 <= i < dim and 0 <= j < dim and i != j):
         raise ValueError(f"axes {axes} out of range for dimension {dim}")
     out = np.eye(dim)
@@ -277,6 +280,7 @@ def mc_functional_equation(n: int, k: int, x, y, samples: int, seed: int) -> MCR
     standard error.
     """
     n, k = _validate_nk(n, k)
+    samples, seed = _as_int(samples, "samples"), _as_int(seed, "seed")
     if samples < 1:
         raise ValueError("need at least one sample")
     if samples == 1:

@@ -5,14 +5,16 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from sphelim import __version__, cli
+from sphelim import __version__, cli, sphere
 from sphelim.cli import fmt_float, fmt_fraction, main, to_jsonable
 from sphelim.rootdata import build_space, rho
 
@@ -419,7 +421,7 @@ class TestTopLevel:
         def sampler(*args):
             raise error
 
-        monkeypatch.setattr(cli, "mc_functional_equation", sampler)
+        monkeypatch.setattr(sphere, "mc_functional_equation", sampler)
         code, out, err = run_cli(capsys, command, "--n", "3", "--k", "2",
                                  "--samples", "200")
         assert code == 2 and out == ""
@@ -456,3 +458,51 @@ class TestTopLevel:
             entry(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+
+# Runs each step in one fresh interpreter and prints, per step, the exit
+# code and whether NumPy has been imported by then.
+_BOUNDARY_SCRIPT = """
+import contextlib, io, json, sys
+steps = []
+import sphelim
+steps.append(("import sphelim", None, "numpy" in sys.modules))
+from sphelim import cli
+for argv in ARGVS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    steps.append((" ".join(argv), code, "numpy" in sys.modules))
+print(json.dumps(steps))
+"""
+
+
+def _fresh_steps(*argvs):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = _BOUNDARY_SCRIPT.replace("ARGVS", repr([list(argv) for argv in argvs]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestNumpyBoundary:
+    """NumPy is loaded by ``sphelim.sphere`` alone, so only the sphere
+    commands load it; ``import sphelim`` and the exact commands do not."""
+
+    def test_exact_commands_do_not_load_numpy(self):
+        steps = _fresh_steps(["catalog"],
+                             ["c-eval", "--family", "group-sp", "--n", "3", "--mu", "1,0,1",
+                              "--oracle"],
+                             ["limit-scan", "--family", "group-su", "--coeffs", "1",
+                              "--max-level", "20"],
+                             ["--version"])
+        assert [(code, loaded) for _, code, loaded in steps] == [(None, False)] + [(0, False)] * 4
+
+    def test_mc_check_loads_numpy(self):
+        steps = _fresh_steps(["mc-check", "--n", "3", "--k", "2", "--samples", "200"])
+        assert [(code, loaded) for _, code, loaded in steps] == [(None, False), (0, True)]

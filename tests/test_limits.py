@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from helpers import inverse_weyl_dimension, jack_at_ones
 
-from sphelim import cfunc, limits
+from sphelim import cfunc, limits, rootdata
 from sphelim.cfunc import CFactorParams, _root_factor, c_value
 from sphelim.cli import to_jsonable
 from sphelim.limits import (
@@ -145,6 +145,11 @@ class TestCSequenceConstruction:
         seq = c_sequence(DirectSystem("group-su", (1,)), [1, 2]).extended([3, 3])
         assert seq.levels == (1, 2, 3)
         assert seq.values == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
+
+    def test_non_integral_levels_are_refused(self):
+        system = DirectSystem("group-su", (1,))
+        with pytest.raises(ValueError, match="level 1 must be an integer, got 2.5"):
+            c_sequence(system, [1, 2.5])
 
     def test_extended_rejects_levels_below_base(self):
         seq = c_sequence(DirectSystem("group-su", (0, 1)), [2, 3])
@@ -912,7 +917,7 @@ class TestClassifierEdges:
                 return real(*args, **kwargs)
             return counted
 
-        for module, name in ((limits, "_f_ints_from_xi"), (cfunc, "_f_ints_from_xi"),
+        for module, name in ((limits, "_f_ints_from_xi"), (rootdata, "_f_ints_from_xi"),
                              (cfunc, "_rho4")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         seq, report = classify_scan(DirectSystem("group-sp", (0, 1, 0, 2)), 2000, batch=2000)

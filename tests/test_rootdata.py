@@ -4,13 +4,17 @@ spherical lattice, and constructor validation."""
 import dataclasses
 import hashlib
 import pickle
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import instances_at_rank, small_instances
+from sphelim.cfunc import CFactorParams, c_oracle, c_value
+from sphelim.limits import DirectSystem
 from sphelim.rootdata import (
     FAMILIES,
     ORBIT_ALPHA1,
@@ -154,6 +158,20 @@ class TestCatalog:
             build_space("group-spin-even", n=3)
         with pytest.raises(ValueError, match="n >= 2"):
             build_space("su-over-sp", n=1)
+
+    @pytest.mark.parametrize("family, kwargs, name", [
+        ("group-sp", {"n": 3.5}, "n"), ("group-sp", {"n": "3"}, "n"),
+        ("grass-real", {"p": 2, "q": 3.5}, "q"), ("grass-real", {"p": 2.0, "q": 3}, "p"),
+        ("rank1-real", {"q": Fraction(3)}, "q"), ("rank1-real", {"p": 1.0, "q": 3}, "p")])
+    def test_non_integral_parameters(self, family, kwargs, name):
+        # refused, not kept as a rank of 3.5 or a multiplicity of 1.5
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            build_space(family, **kwargs)
+
+    def test_numpy_integer_parameters(self):
+        datum = build_space("grass-real", p=np.int64(2), q=np.int32(4))
+        assert datum == build_space("grass-real", p=2, q=4)
+        assert [type(v) for _, v in datum.params] == [int, int]
 
     def test_datum_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -406,3 +424,22 @@ def test_lambda_alpha_scale_invariance():
         assert lambda_alpha(w, alpha, scale=scale) == base
     with pytest.raises(ValueError, match="positive"):
         lambda_alpha(w, alpha, scale=0)
+
+
+_SP2 = build_space("group-sp", n=2)
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), np.float64(1.9), "1"], ids=repr)
+@pytest.mark.parametrize("call, name", [
+    (lambda bad: c_value(_SP2, (bad, 0)), "coefficient 0"),
+    (lambda bad: c_oracle(_SP2, (0, bad)), "coefficient 1"),
+    (lambda bad: weight_from_xi(_SP2, (bad, 0)), "coefficient 0"),
+    (lambda bad: DirectSystem("group-su", (1, bad)), "coefficient 1"),
+    (lambda bad: pad_xi_coeffs((bad,), 3), "coefficient 0"),
+    (lambda bad: CFactorParams.from_multiplicities(bad, 2, 1, 0), "mu_alpha"),
+], ids=["c_value", "c_oracle", "weight_from_xi", "DirectSystem", "pad_xi_coeffs",
+        "from_multiplicities"])
+def test_non_integral_coefficient_is_refused(call, name, bad):
+    # one rule (rootdata._as_int): refused and named, not truncated
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+        call(bad)

@@ -167,6 +167,24 @@ class TestValidation:
             with pytest.raises(ValueError, match="must be integers"):
                 call()
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda: limit_zonal(2.5, planar_rotation(3, 0.5)), "degree"),
+        (lambda: mc_functional_equation(3, 2, np.eye(4), np.eye(4), 100.0, 0), "samples"),
+        (lambda: mc_functional_equation(3, 2, np.eye(4), np.eye(4), 100, 1.5), "seed"),
+        (lambda: haar_rotation(4.0, 1, 1), "dim"),
+        (lambda: haar_rotation(4, 1.0, 1), "count"),
+        (lambda: haar_rotation(4, 0, 1.5), "seed"),
+        (lambda: planar_rotation(3.0, 0.1), "dim"),
+        (lambda: planar_rotation(3, 0.1, axes=(0, 1.0)), "axis 1"),
+        (lambda: haar_sample_stabilizer(3.0, 2, 1), "n"),
+        (lambda: haar_sample_stabilizer(3, 2.5, 1), "count"),
+    ], ids=["limit_zonal-k", "mc-samples", "mc-seed", "haar-dim", "haar-count", "haar-seed",
+            "planar-dim", "planar-axes", "stabilizer-n", "stabilizer-count"])
+    def test_non_integral_count_size_or_seed(self, call, name):
+        # a float is refused here too, by the same rule (rootdata._as_int)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call()
+
     def test_numpy_integers_are_integers(self):
         fn = ZonalFunction(np.int64(5), np.int32(3))
         assert (fn.n, fn.k) == (5, 3) and type(fn.n) is int and type(fn.k) is int
