@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -54,6 +55,12 @@ class CFactorParams:
     y_alpha: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "mu_alpha", _as_int(self.mu_alpha, "mu_alpha"))
+        for name in ("rho_alpha", "x_alpha", "y_alpha"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Rational):
+                raise ValueError(f"{name} must be a rational number, got {value!r}")
+            object.__setattr__(self, name, Fraction(value))
         if self.mu_alpha < 0:
             raise ValueError("mu_alpha must be a nonnegative integer")
         if self.rho_alpha <= 0:
@@ -66,8 +73,8 @@ class CFactorParams:
     @classmethod
     def from_multiplicities(cls, mu_alpha: int, rho_alpha, m_alpha: int, m_half: int):
         return cls(
-            mu_alpha=_as_int(mu_alpha, "mu_alpha"),
-            rho_alpha=Fraction(rho_alpha),
+            mu_alpha=mu_alpha,
+            rho_alpha=rho_alpha,
             x_alpha=Fraction(m_half + 2, 4),
             y_alpha=Fraction(m_half + 2 * m_alpha, 4),
         )

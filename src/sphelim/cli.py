@@ -151,8 +151,9 @@ _SCAN_KEYS = {
     "coeffs": {"type": _parse_int_list,
                "help": "base fundamental-weight coefficients, e.g. 1,0"},
     "p": {"type": int, "help": "fixed p for Grassmannian chains"},
-    "max_level": {"type": int, "help": "highest level to scan (default 200)"},
-    "batch": {"type": int},
+    "max_level": {"type": int, "help": "the scan prints the levels from the base to "
+                                       "min(MAX_LEVEL, base + BATCH - 1) (default 200)"},
+    "batch": {"type": int, "help": "how many levels from the base to scan (default 25)"},
     "csv": {"help": "write the level/value table here instead of stdout"},
 }
 

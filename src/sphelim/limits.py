@@ -16,6 +16,7 @@ from that table.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 from collections import Counter
@@ -28,6 +29,7 @@ from .rootdata import (
     FAMILIES,
     SpaceDatum,
     Weight,
+    _as_int,
     _as_ints,
     _f_ints_from_xi,
     build_space,
@@ -62,12 +64,15 @@ class DirectSystem:
         object.__setattr__(self, "base_coeffs", _as_ints(self.base_coeffs))
         if any(k < 0 for k in self.base_coeffs):
             raise ValueError("base coefficients must be nonnegative")
+        fixed_p = None if self.fixed_p is None else _as_int(self.fixed_p, "fixed_p")
         if fam.param_kind == "pq":
-            p = fam.fixed_p if fam.fixed_p is not None else self.fixed_p
+            p = fam.fixed_p if fam.fixed_p is not None else fixed_p
             if p is None:
                 raise ValueError(f"family {self.family!r} needs fixed_p")
-            if self.fixed_p is not None and self.fixed_p != p:
+            if fixed_p is not None and fixed_p != p:
                 raise ValueError(f"family {self.family!r} fixes p = {p}")
+            if p < 1:
+                raise ValueError(f"fixed_p must be at least 1, got {p}")
             object.__setattr__(self, "fixed_p", p)
             if len(self.base_coeffs) != p:
                 raise ValueError(f"need exactly p = {p} coefficients")
@@ -125,13 +130,6 @@ def _propagated_xi(system: DirectSystem, level: int) -> tuple[SpaceDatum, tuple[
     return datum, pad_xi_coeffs(system.base_coeffs, datum.rank)
 
 
-def _level_rows(system: DirectSystem, level: int) -> tuple[SpaceDatum, list[int]]:
-    """The datum at one level with the integer f-coefficients of the
-    propagated weight; no Fractions are built."""
-    datum, coeffs = _propagated_xi(system, level)
-    return datum, _f_ints_from_xi(datum.psi, coeffs)
-
-
 _mults = operator.attrgetter("mult_middle", "mult_alpha1", "mult_half")
 
 
@@ -160,12 +158,11 @@ class CSequence:
 
 
 def _values_at(system: DirectSystem, levels: Iterable[int],
-               table: tuple[Fraction, tuple] | None = None,
                start: tuple[int, Fraction] | None = None) -> Iterator[Fraction]:
     """Exact values at ascending levels, yielded one at a time, from the
-    chain's ``_chain_table`` (read here unless the caller passes it).
-    ``start`` is a known (level, value) at or below the first level asked
-    for; infinite-rank values step up from it instead of from the base.
+    chain's ``_chain_table``.  ``start`` is a known (level, value) at or
+    below the first level asked for; infinite-rank values step up from it
+    instead of from the base.
 
     The base level's value is the table's whole product.  Above it, a
     finite-rank value c(q) is the table's rational function at t = q - p - 1,
@@ -174,7 +171,7 @@ def _values_at(system: DirectSystem, levels: Iterable[int],
     costs a fixed number of small linear forms, not a row of rank n.  Since
     Fraction is canonical, every value is the one ``c_value`` gives.
     """
-    value, forms = table or _chain_table(system)
+    value, forms = _chain_table(system)
     base = system.base_level
     top, value = start or (base, value)
     finite = system.mode == MODE_FINITE
@@ -190,7 +187,7 @@ def _values_at(system: DirectSystem, levels: Iterable[int],
         yield value
 
 
-def _evaluate(forms: tuple[int, int, list, list], t: int) -> Fraction:
+def _evaluate(forms: tuple[int, int, tuple, tuple], t: int) -> Fraction:
     const_num, const_den, num, den = forms
     return Fraction(const_num * math.prod(a * t + b for a, b in num),
                     const_den * math.prod(c * t + d for c, d in den))
@@ -208,7 +205,7 @@ def exact_limit(system: DirectSystem) -> Fraction:
     return _table_limit(_chain_table(system)[1])
 
 
-def _table_limit(forms: tuple[int, int, list, list]) -> Fraction:
+def _table_limit(forms: tuple[int, int, tuple, tuple]) -> Fraction:
     """The limit of the table's rational function as t -> oo."""
     const_num, const_den, num, den = forms
     if len(num) != len(den):
@@ -217,16 +214,20 @@ def _table_limit(forms: tuple[int, int, list, list]) -> Fraction:
                     const_den * math.prod(c for c, _ in den))
 
 
-def _chain_table(system: DirectSystem) -> tuple[Fraction, tuple[int, int, list, list]]:
+@functools.lru_cache(maxsize=256)
+def _chain_table(system: DirectSystem) -> tuple[Fraction, tuple[int, int, tuple, tuple]]:
     """The values of a chain in closed form: (c(b), (C_n, C_d, num, den))
     with b the base level and C_n prod(a t + b) / (C_d prod(c t + d)) over
     the integer linear forms (a, b) in ``num`` and (c, d) in ``den`` equal
     to c(p+1+t) on a finite-rank chain and to c(b+t+1)/c(b+t) on an
-    infinite-rank one, for every t >= 0.
+    infinite-rank one, for every t >= 0.  Memoized like ``cfunc._row_plan``:
+    the system is frozen and the table is tuples, so every value, extension
+    and verdict of a chain reads it once per process.
 
     c(b) is the whole product at the base level.  The forms are read from
     the factors (``cfunc._rows``) of the next three levels, each factor as
-    its integer terms (``cfunc._root_terms``).
+    its integer terms (``cfunc._root_terms``), over the integer
+    f-coefficients of the propagated weight.
 
     Finite rank (p fixed, level q): only the half-root multiplicity
     m_half = d(q - p) moves with q (``rootdata.FamilyRow.mults_of``), and
@@ -260,7 +261,8 @@ def _chain_table(system: DirectSystem) -> tuple[Fraction, tuple[int, int, list, 
     base = system.base_level
     readings, mults, lo = [], None, 0
     for level in range(base, base + 4):
-        datum, coeffs = _level_rows(system, level)
+        datum, xi = _propagated_xi(system, level)
+        coeffs = _f_ints_from_xi(datum.psi, xi)
         if level == base:
             value = Fraction(*_product(_rows(datum, coeffs, 0)))
         elif infinite and _mults(datum) != mults:
@@ -285,7 +287,8 @@ def _chain_table(system: DirectSystem) -> tuple[Fraction, tuple[int, int, list, 
     common = num & den
     g = math.gcd(const_num, const_den)
     return value, (const_num // g, const_den // g,
-                   sorted((num - common).elements()), sorted((den - common).elements()))
+                   tuple(sorted((num - common).elements())),
+                   tuple(sorted((den - common).elements())))
 
 
 def _primitive_forms(forms: Iterable[tuple[int, int]]) -> tuple[int, Counter]:
@@ -349,7 +352,7 @@ def divergence_certificate(a: Sequence, x: Sequence, L: int, N: int,
     return product
 
 
-def _decay_certificate(base: int, forms: tuple[int, int, list, list]) -> dict:
+def _decay_certificate(base: int, forms: tuple[int, int, tuple, tuple]) -> dict:
     """Why c(n) -> 0 on an infinite-rank chain, in integers, from its step
     ratio R(n) = c(n+1)/c(n) = P(t)/Q(t), t = n - base (``_chain_table``).
 
@@ -418,30 +421,20 @@ def classify(seq: CSequence) -> ConvergenceReport:
     Infinite-rank chains with a nonzero weight tend to zero: the verdict
     carries the step-ratio certificate (``_decay_certificate``).  The zero
     weight gives 1 at every level on either kind.  No verdict waits for
-    more levels: the table decides at any length.
+    more levels: the table decides at any length.  Raises ValueError if a
+    value exceeds the one at the level below, and ArithmeticError if a
+    finite-rank limit does not lie in (0, last value].
     """
     if not seq.levels:
         raise ValueError("empty sequence")
     for earlier, later in zip(seq.values, seq.values[1:]):
-        _check_step(earlier, later)
-    return _decide(seq, _chain_table(seq.system)[1])
-
-
-def _check_step(earlier: Fraction, later: Fraction) -> None:
-    """Raise if the value at a level exceeds the one at the level below."""
-    if later > earlier:
-        raise ValueError(
-            "overlap sequence increased between levels; this cannot happen "
-            "for a propagated dominant weight and indicates an upstream bug"
-        )
-
-
-def _decide(seq: CSequence, forms: tuple[int, int, list, list]) -> ConvergenceReport:
-    """The verdict of ``classify`` on a nonempty, checked nonincreasing
-    sequence, given the forms of its chain's ``_chain_table``.  A
-    finite-rank limit must lie in (0, last value]; the zero weight
-    (``DirectSystem.trivial``) is constant one, whatever the values read."""
+        if later > earlier:
+            raise ValueError(
+                "overlap sequence increased between levels; this cannot happen "
+                "for a propagated dominant weight and indicates an upstream bug"
+            )
     system = seq.system
+    forms = _chain_table(system)[1]
     last_level, last_value = seq.last()
     evidence = {
         "mode": system.mode,
@@ -464,28 +457,22 @@ def _decide(seq: CSequence, forms: tuple[int, int, list, list]) -> ConvergenceRe
 
 def classify_scan(system: DirectSystem, max_level: int,
                   batch: int = 25, max_workers: int = 1) -> tuple[CSequence, ConvergenceReport]:
-    """Scan the chain's first ``batch`` levels from its base level up (at
-    most to ``max_level``) and decide.  Returns the scanned sequence and its
-    report.
+    """Scan the chain's levels from its base level to min(max_level, base
+    + batch - 1) and decide: ``c_sequence`` at those levels, then
+    ``classify``.  Returns the scanned sequence and its report.
 
-    The chain's table is read once, for the values and the verdict, so a
-    scan builds at most four spaces whatever its length; each value is
-    checked against the one below it as it arrives.  ``batch`` sets where
-    the scan stops, never the value at a level.  ``max_workers`` is
-    ignored: every scan is serial.  It stays because the benchmark harness
-    in ``perfbench/`` passes ``max_workers=1``, and that harness must run
-    unchanged on every revision it compares.
+    Both read the chain's memoized table, so a scan builds at most four
+    spaces whatever its length.  ``batch`` sets where the scan stops,
+    never the value at a level.  ``max_workers`` is ignored: every scan is
+    serial.  It stays because the benchmark harness in ``perfbench/``
+    passes ``max_workers=1``, and that harness must run unchanged on every
+    revision it compares.
     """
-    if max_level < system.base_level:
+    max_level, batch = _as_int(max_level, "max_level"), _as_int(batch, "batch")
+    base = system.base_level
+    if max_level < base:
         raise ValueError("max_level is below the base level")
     if batch < 1:
         raise ValueError("batch must be at least 1")
-    levels = range(system.base_level, min(max_level, system.base_level + batch - 1) + 1)
-    table = _chain_table(system)
-    values = []
-    for value in _values_at(system, levels, table):
-        if values:
-            _check_step(values[-1], value)
-        values.append(value)
-    seq = CSequence(system, tuple(levels), tuple(values))
-    return seq, _decide(seq, table[1])
+    seq = c_sequence(system, range(base, min(max_level, base + batch - 1) + 1))
+    return seq, classify(seq)

@@ -496,17 +496,11 @@ def rho(datum: SpaceDatum) -> Weight:
     return Weight(tuple(Fraction(c, 4) for c in _rho4(datum)))
 
 
-def lambda_alpha(lam, alpha: RestrictedRoot, *, scale: int | Fraction = 1) -> Fraction:
-    """<lam, alpha>/<alpha, alpha> in the f-basis inner product.
-
-    ``scale`` multiplies the Gram matrix uniformly; the ratio is invariant,
-    which is the normalization-independence witness used in tests.
-    """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+def lambda_alpha(lam, alpha: RestrictedRoot) -> Fraction:
+    """<lam, alpha>/<alpha, alpha> in the f-basis inner product."""
     vec = lam.coeffs_f if isinstance(lam, Weight) else lam
     num = sum(Fraction(vec[idx]) * val for idx, val in alpha.entries)
-    return (Fraction(scale) * num) / (Fraction(scale) * alpha.norm_sq())
+    return Fraction(num, alpha.norm_sq())
 
 
 def _first_integrality_violation(datum: SpaceDatum, lam) -> RestrictedRoot | None:

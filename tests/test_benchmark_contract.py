@@ -1,7 +1,7 @@
 """The names the benchmark harness in ``perfbench/`` reaches into ``sphelim``
-for: every traced function still resolves, scans still accept the keyword
-the workloads pass, and every workload still runs and passes its own checks
-at smoke-test size."""
+for: every traced function still resolves, the tracer sees the layers of a
+scan, scans still accept the keyword the workloads pass, and every workload
+still runs and passes its own checks at smoke-test size."""
 
 import importlib
 import importlib.util
@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from sphelim import limits
 from sphelim.limits import DirectSystem, classify_scan
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -22,7 +23,8 @@ def _load_perfbench(name):
     return module
 
 
-TRACED = _load_perfbench("tracing").TRACED
+TRACING = _load_perfbench("tracing")
+TRACED = TRACING.TRACED
 WORKLOADS = _load_perfbench("workloads").WORKLOADS
 
 
@@ -43,6 +45,30 @@ def test_classify_scan_takes_the_workload_keywords(system, level):
     seq, report = classify_scan(system, level, batch=level, max_workers=1)
     assert (seq, report) == classify_scan(system, level, batch=level)
     assert seq.levels[-1] == level
+
+
+@pytest.mark.parametrize("system", [DirectSystem("group-su", (1,)),
+                                    DirectSystem("grass-real", (1, 1), fixed_p=2)],
+                         ids=["infinite-rank", "finite-rank"])
+def test_tracer_sees_the_layers_of_a_scan(system):
+    # a scan is c_sequence, whose extension folds the values, then classify,
+    # so the traced layers nest under its span
+    tracer = TRACING.Tracer()
+    tracer.install()
+    try:
+        limits.classify_scan(system, 12)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    parents = {name: spans[parent][0] if parent >= 0 else None
+               for name, _, _, parent, _, _ in spans if name.startswith("limits.")}
+    assert parents == {
+        "limits.classify_scan": None,
+        "limits.c_sequence": "limits.classify_scan",
+        "limits.CSequence.extended": "limits.c_sequence",
+        "limits.classify": "limits.classify_scan",
+    }
+    assert limits.classify_scan is classify_scan  # uninstall put it back
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

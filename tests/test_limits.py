@@ -9,6 +9,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from helpers import inverse_weyl_dimension, jack_at_ones
 
@@ -44,6 +45,13 @@ INFINITE_FAMILIES = ("group-su", "group-spin-odd", "group-spin-even", "group-sp"
 FINITE_FAMILIES = ("grass-real", "grass-complex", "grass-quaternion")
 
 
+@pytest.fixture(autouse=True)
+def _fresh_chain_tables():
+    # each test reads its chains' tables itself, so a monkeypatched space or
+    # a build count sees them, whatever ran before it
+    limits._chain_table.cache_clear()
+
+
 class TestDirectSystem:
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown family"):
@@ -62,6 +70,21 @@ class TestDirectSystem:
             DirectSystem("group-su", ())
         with pytest.raises(ValueError, match="no member of rank 3"):
             DirectSystem("group-spin-even", (0, 0, 1))
+
+    @pytest.mark.parametrize("family, coeffs", [("grass-real", ()), ("grass-complex", ()),
+                                                ("rank1-real", (1,))])
+    @pytest.mark.parametrize("fixed_p", [0, -1])
+    def test_fixed_p_below_one_is_refused(self, family, coeffs, fixed_p):
+        # refused when the system is built, not when its scan builds a space
+        match = ("fixes p = 1" if family == "rank1-real"
+                 else f"^fixed_p must be at least 1, got {fixed_p}$")
+        with pytest.raises(ValueError, match=match):
+            DirectSystem(family, coeffs, fixed_p=fixed_p)
+
+    def test_numpy_integer_fixed_p(self):
+        system = DirectSystem("grass-real", (1, 1), fixed_p=np.int64(2))
+        assert system == DirectSystem("grass-real", (1, 1), fixed_p=2)
+        assert type(system.fixed_p) is int
 
     @pytest.mark.parametrize("family", INFINITE_FAMILIES)
     def test_n_for_rank_inverts_the_rank_rule(self, family):
@@ -455,6 +478,61 @@ class TestIncrementalFold:
             "9297f88c2d733bc4cfa660243b8db5fba78b54339f5a35b3c54165e470e25f9a")
 
 
+# every infinite-rank chain of the step table and every finite-rank fold chain
+SCAN_SYSTEMS = ROW_SYSTEMS + [s for s in FOLD_SYSTEMS if s.mode == MODE_FINITE]
+
+
+class TestOneScanPath:
+    """A scan is ``c_sequence`` at its levels, then ``classify``, over one
+    memoized table per chain."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 25])
+    @pytest.mark.parametrize("system", SCAN_SYSTEMS,
+                             ids=[f"{s.family}{s.base_coeffs}" for s in SCAN_SYSTEMS])
+    def test_scan_is_c_sequence_then_classify(self, system, batch):
+        seq, report = classify_scan(system, ROW_TOP, batch=batch)
+        limits._chain_table.cache_clear()  # the other route reads its own table
+        base = system.base_level
+        want = c_sequence(system, range(base, base + batch))
+        verdict = classify(want)
+        assert seq == want
+        assert report == verdict
+        assert report.evidence == verdict.evidence  # not compared by ==
+
+    @pytest.mark.parametrize("system", [DirectSystem("grass-quaternion", (1, 0, 2), fixed_p=3),
+                                        DirectSystem("group-sp", (0, 1, 0, 2))],
+                             ids=["grass-quaternion", "group-sp"])
+    def test_a_chain_is_read_once(self, monkeypatch, system):
+        # the scan builds the table's four spaces; its verdict, an extension,
+        # the exact limit and a second scan of an equal system build none
+        real_build, calls = limits.build_space, [0]
+
+        def counting_build(*args, **kwargs):
+            calls[0] += 1
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(limits, "build_space", counting_build)
+        seq, report = classify_scan(system, 2000, batch=40)
+        assert calls[0] == 4
+        calls[0] = 0
+        assert classify(seq).evidence == report.evidence
+        top = seq.levels[-1]
+        assert seq.extended([top + 1]).levels[-1] == top + 1
+        if system.mode == MODE_FINITE:
+            assert limits.exact_limit(system) == report.evidence["limit"]
+        again = DirectSystem(system.family, system.base_coeffs, system.fixed_p)
+        assert classify_scan(again, 2000, batch=40) == (seq, report)
+        assert calls[0] == 0
+        # the shared table is tuples of integers, so no reader can change it
+        value, forms = limits._chain_table(system)
+        const_num, const_den, num, den = forms
+        assert type(value) is Fraction and type(forms) is tuple
+        assert type(const_num) is int and type(const_den) is int
+        assert type(num) is tuple and type(den) is tuple and num and den
+        assert all(type(form) is tuple and [type(v) for v in form] == [int, int]
+                   for form in num + den)
+
+
 # the chains whose values are 1/dim V on the group spaces G x G / G
 GROUP_SYSTEMS = [s for s in ROW_SYSTEMS
                  if s.family in ("group-su", "group-spin-odd", "group-spin-even", "group-sp")]
@@ -550,7 +628,7 @@ class TestStepTable:
         }
 
     @pytest.mark.parametrize("wrong, error", [
-        (lambda cn, cd, num, den: (cn, cd, num + [(1, 1)], den), "degree [0-9]+ over [0-9]+"),
+        (lambda cn, cd, num, den: (cn, cd, (*num, (1, 1)), den), "degree [0-9]+ over [0-9]+"),
         (lambda cn, cd, num, den: (10 ** 6 * cn, cd, num, den), "tends to [0-9]+ "),
         (lambda cn, cd, num, den: (cn, cn, num, num), "tends to 1 with kappa 0"),
     ], ids=["unequal-degrees", "ratio-above-one", "kappa-zero"])
@@ -687,6 +765,7 @@ class TestGrassmannianTable:
         sizes = []
         for top in (200, 2000):
             _root_factor.cache_clear()
+            limits._chain_table.cache_clear()
             c_sequence(system, range(6, top + 1))
             sizes.append(_root_factor.cache_info().currsize)
         assert sizes[0] == sizes[1]
@@ -695,6 +774,7 @@ class TestGrassmannianTable:
         sizes = []
         for top in (200, 1200):
             _root_factor.cache_clear()
+            limits._chain_table.cache_clear()
             c_sequence(DirectSystem("group-sp", (0, 1, 0, 2)), range(4, top + 1))
             sizes.append(_root_factor.cache_info().currsize)
         assert sizes[0] == sizes[1]
@@ -804,7 +884,7 @@ class TestFiniteChains:
         assert report_a.limit_estimate == report_b.limit_estimate == 0.25
 
     @pytest.mark.parametrize("wrong, error", [
-        (lambda cn, cd, num, den: (cn, cd, num + [(1, 1)], den), "degree 3 over 2"),
+        (lambda cn, cd, num, den: (cn, cd, (*num, (1, 1)), den), "degree 3 over 2"),
         (lambda cn, cd, num, den: (10 ** 6 * cn, cd, num, den), "is not in"),
     ], ids=["unequal-degrees", "limit-above-the-last-value"])
     @pytest.mark.parametrize("family", FINITE_FAMILIES)
@@ -864,21 +944,21 @@ class TestClassifierEdges:
 
     @pytest.mark.parametrize("bad_index", [24, 13])
     def test_scan_monotonicity_guard(self, monkeypatch, bad_index):
-        # classify_scan checks each value as the fold yields it; an increase
-        # on a batch's last value (index 24) or inside a batch still raises,
-        # and a finite-rank scan decides at its first batch, so both lie there
+        # a scan is c_sequence then classify, so it reads its whole batch of
+        # 25 levels and classify refuses an increase on the batch's last
+        # value (index 24) or inside it
         real = limits._values_at
         seen = []
 
-        def bumped(*args):
-            for index, value in enumerate(real(*args)):
+        def bumped(*args, **kwargs):
+            for index, value in enumerate(real(*args, **kwargs)):
                 seen.append(index)
                 yield 2 * value if index == bad_index else value
 
         monkeypatch.setattr(limits, "_values_at", bumped)
         with pytest.raises(ValueError, match="increased"):
             classify_scan(DirectSystem("grass-real", (1, 1, 1), fixed_p=3), max_level=400)
-        assert seen[-1] == bad_index
+        assert seen[-1] == 24
 
     @pytest.mark.parametrize("system", [DirectSystem("grass-real", (1, 1, 1), fixed_p=3),
                                         DirectSystem("group-sp", (1,))],

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import instances_at_rank, small_instances
-from sphelim.cfunc import CFactorParams, c_oracle, c_value
-from sphelim.limits import DirectSystem
+from sphelim.cfunc import CFactorParams, c_factor, c_oracle, c_value
+from sphelim.limits import DirectSystem, classify_scan
 from sphelim.rootdata import (
     FAMILIES,
     ORBIT_ALPHA1,
@@ -415,17 +415,6 @@ def test_lambda_plus_closed_under_addition(index, data):
     assert in_lambda_plus(datum, total)
 
 
-def test_lambda_alpha_scale_invariance():
-    datum = build_space("grass-complex", p=2, q=4)
-    alpha = positive_nonmultipliable_roots(datum)[0]
-    w = weight_from_xi(datum, (1, 2))
-    base = lambda_alpha(w, alpha)
-    for scale in (2, 7, Fraction(3, 5)):
-        assert lambda_alpha(w, alpha, scale=scale) == base
-    with pytest.raises(ValueError, match="positive"):
-        lambda_alpha(w, alpha, scale=0)
-
-
 _SP2 = build_space("group-sp", n=2)
 
 
@@ -437,9 +426,31 @@ _SP2 = build_space("group-sp", n=2)
     (lambda bad: DirectSystem("group-su", (1, bad)), "coefficient 1"),
     (lambda bad: pad_xi_coeffs((bad,), 3), "coefficient 0"),
     (lambda bad: CFactorParams.from_multiplicities(bad, 2, 1, 0), "mu_alpha"),
+    (lambda bad: CFactorParams(bad, Fraction(1), Fraction(1, 2), Fraction(1, 2)), "mu_alpha"),
+    (lambda bad: DirectSystem("grass-real", (1, 1), fixed_p=bad), "fixed_p"),
+    (lambda bad: classify_scan(DirectSystem("group-su", (1,)), bad), "max_level"),
+    (lambda bad: classify_scan(DirectSystem("group-su", (1,)), 8, batch=bad), "batch"),
 ], ids=["c_value", "c_oracle", "weight_from_xi", "DirectSystem", "pad_xi_coeffs",
-        "from_multiplicities"])
+        "from_multiplicities", "CFactorParams", "fixed_p", "max_level", "batch"])
 def test_non_integral_coefficient_is_refused(call, name, bad):
     # one rule (rootdata._as_int): refused and named, not truncated
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
         call(bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, np.float64(0.5), "1/2", None], ids=repr)
+@pytest.mark.parametrize("name", ["rho_alpha", "x_alpha", "y_alpha"])
+def test_non_rational_factor_parameter_is_refused(name, bad):
+    # refused and named, not left to fail inside c_factor
+    fields = {"mu_alpha": 1, "rho_alpha": Fraction(1), "x_alpha": Fraction(1, 2),
+              "y_alpha": Fraction(1, 2)} | {name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be a rational number, got "
+                                         f"{re.escape(repr(bad))}$"):
+        CFactorParams(**fields)
+
+
+def test_rational_factor_parameters_become_fractions():
+    params = CFactorParams(np.int64(1), 1, Fraction(1, 2), Fraction(1, 2))
+    assert params == CFactorParams(1, Fraction(1), Fraction(1, 2), Fraction(1, 2))
+    assert [type(v) for v in (params.mu_alpha, params.rho_alpha)] == [int, Fraction]
+    assert c_factor(params) == Fraction(2, 3)
