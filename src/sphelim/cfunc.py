@@ -72,6 +72,7 @@ class CFactorParams:
 
     @classmethod
     def from_multiplicities(cls, mu_alpha: int, rho_alpha, m_alpha: int, m_half: int):
+        m_alpha, m_half = _as_int(m_alpha, "m_alpha"), _as_int(m_half, "m_half")
         return cls(
             mu_alpha=mu_alpha,
             rho_alpha=rho_alpha,
@@ -92,23 +93,16 @@ class CFactorParams:
         return cls.from_multiplicities(mu_a.numerator, lambda_alpha(rho(datum), root), m, mh)
 
 
-def c_factor(params: CFactorParams) -> Fraction:
-    """One root's contribution to the normalized overlap product.
-
-    Equal to ((1+x/rho)(1+y/rho))^(-mu) * prod_{j<mu} [(1+j/(2rho)) *
-    (1+(mu+j)/(2rho))] / [(1+j/(x+rho)) (1+j/(y+rho))]; evaluated here in
-    the telescoped form prod_{j<2mu}(2rho+j) / (4^mu prod_{j<mu}
-    (rho+x+j)(rho+y+j)), which is the same rational number.
-    """
-    # x and y are quarter-integers, so this scale makes all three integral
-    q = 8 * params.rho_alpha.denominator
-    num, den = _root_factor(params.mu_alpha, int(params.rho_alpha * q),
-                            int(params.x_alpha * q), int(params.y_alpha * q), q)
-    return Fraction(num, den)
-
-
 def c_factor_reference(params: CFactorParams) -> Fraction:
-    """Literal transcription of the displayed product; cross-check only."""
+    """One root's contribution to the normalized overlap product, as the
+    literal transcription of the displayed product
+
+        ((1+x/rho)(1+y/rho))^(-mu) * prod_{j<mu} [(1+j/(2rho)) *
+        (1+(mu+j)/(2rho))] / [(1+j/(x+rho)) (1+j/(y+rho))].
+
+    It equals the telescoped form prod_{j<2mu}(2rho+j) / (4^mu prod_{j<mu}
+    (rho+x+j)(rho+y+j)), whose integer terms ``c_value`` multiplies
+    (``_root_terms``)."""
     mu, rho, x, y = params.mu_alpha, params.rho_alpha, params.x_alpha, params.y_alpha
     value = ((1 + x / rho) * (1 + y / rho)) ** -mu
     for j in range(mu):
@@ -149,25 +143,26 @@ def _reject(datum: SpaceDatum, w):
 _FACTOR_CACHE_SIZE = 4096
 
 
-def _root_terms(mu_a: int, rho_q: int, x_q: int, y_q: int, q: int) -> tuple[list[int], list[int]]:
-    """The integer terms of one root factor, from mu_alpha and q * (rho_alpha,
-    x_alpha, y_alpha) for a scale q that makes all three integral: the
-    factor is prod(num) / prod(den) in the telescoped form of ``c_factor``,
-    with 2 rho + j for j < 2 mu over rho + x + j and rho + y + j for j < mu,
-    each scaled by q, and the constant 4^mu in the denominator.  A run of
-    pair roots (``_rows``) has the terms of one root: its product reduces to
-    the 2 mu terms of (rho)_mu / (rho + y)_mu that survive the run."""
-    rx, ry = rho_q + x_q, rho_q + y_q
-    return ([*range(2 * rho_q, 2 * rho_q + 2 * q * mu_a, q)],
-            [*range(rx, rx + q * mu_a, q), *range(ry, ry + q * mu_a, q), 4 ** mu_a])
+def _root_terms(mu_a: int, rho8: int, x8: int, y8: int) -> tuple[list[int], list[int]]:
+    """The integer terms of one root factor, from mu_alpha and 8 (rho_alpha,
+    x_alpha, y_alpha), which are integers on every catalog root: the factor
+    is prod(num) / prod(den) in the telescoped form of
+    ``c_factor_reference``, with 2 rho + j for j < 2 mu over rho + x + j and
+    rho + y + j for j < mu, each scaled by 8, and the constant 4^mu in the
+    denominator.  A run of pair roots (``_rows``) has the terms of one root:
+    its product reduces to the 2 mu terms of (rho)_mu / (rho + y)_mu that
+    survive the run."""
+    rx, ry = rho8 + x8, rho8 + y8
+    return ([*range(2 * rho8, 2 * rho8 + 16 * mu_a, 8)],
+            [*range(rx, rx + 8 * mu_a, 8), *range(ry, ry + 8 * mu_a, 8), 4 ** mu_a])
 
 
 @functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
-def _root_factor(mu_a: int, rho_q: int, x_q: int, y_q: int, q: int) -> tuple[int, int]:
+def _root_factor(mu_a: int, rho8: int, x8: int, y8: int) -> tuple[int, int]:
     """``_root_terms`` multiplied out and reduced by one gcd per cache miss,
-    which cancels the 2 mu_alpha factors of q that the products carry, so
+    which cancels the 2 mu_alpha factors of 8 that the products carry, so
     every lookup hands the caller a small coprime pair."""
-    num, den = _root_terms(mu_a, rho_q, x_q, y_q, q)
+    num, den = _root_terms(mu_a, rho8, x8, y8)
     fn, fd = math.prod(num), math.prod(den)
     g = math.gcd(fn, fd)
     return fn // g, fd // g
@@ -194,7 +189,7 @@ def c_value(datum: SpaceDatum, mu) -> Fraction:
     return Fraction(*_product(_rows(datum, coeffs, 0)))
 
 
-def _product(rows: Iterable[list[tuple[int, int, int, int, int]]]) -> tuple[int, int]:
+def _product(rows: Iterable[list[tuple[int, int, int, int]]]) -> tuple[int, int]:
     """Reduced integer numerator/denominator of the product of the rows'
     factors (``_rows``): each factor key is passed whole to the
     ``_root_factor`` memo, whose coprime pair is multiplied in as small
@@ -249,10 +244,10 @@ def _row_plan(datum: SpaceDatum) -> tuple[int, bool, tuple[int, int] | None,
 
 
 def _rows(datum: SpaceDatum, coeffs: Sequence[int],
-          lo: int) -> Iterator[list[tuple[int, int, int, int, int]]]:
+          lo: int) -> Iterator[list[tuple[int, int, int, int]]]:
     """The nontrivial factors of each f-index row j >= lo of one weight's
     integer f-coefficients, one list per row, each factor as the flat key
-    (mu_alpha, 8 rho_alpha, 8 x_alpha, 8 y_alpha, 8) of ``_root_factor``
+    (mu_alpha, 8 rho_alpha, 8 x_alpha, 8 y_alpha) of ``_root_factor``
     and ``_root_terms``: the single root s*f_j, then one factor for each
     run [a, b) below j, a maximal range of indices i < j with equal integer
     f-coefficients, standing for all its roots f_j - f_i, and one for all
@@ -286,7 +281,7 @@ def _rows(datum: SpaceDatum, coeffs: Sequence[int],
             if mu_a < 0 or rem:
                 _reject(datum, coeffs)
             if mu_a and single:
-                row.append((mu_a, 2 * rj // s, single[0], single[1], 8))
+                row.append((mu_a, 2 * rj // s, single[0], single[1]))
         a = 0
         for b in ends:  # the run [a, b) below j: roots f_j - f_i, f_j + f_i
             if a >= j:
@@ -300,9 +295,9 @@ def _rows(datum: SpaceDatum, coeffs: Sequence[int],
             if pair:
                 y8 = pair[1] * (b - a)  # one root of multiplicity (b - a) m
                 if diff:  # rho_alpha is smallest at i = b - 1
-                    row.append((diff >> 1, rj - r4[b - 1], pair[0], y8, 8))
+                    row.append((diff >> 1, rj - r4[b - 1], pair[0], y8))
                 if tot:  # and at i = a
-                    row.append((tot >> 1, rj + r4[a], pair[0], y8, 8))
+                    row.append((tot >> 1, rj + r4[a], pair[0], y8))
             a = b
         yield row
 

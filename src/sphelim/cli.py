@@ -152,7 +152,7 @@ _SCAN_KEYS = {
                "help": "base fundamental-weight coefficients, e.g. 1,0"},
     "p": {"type": int, "help": "fixed p for Grassmannian chains"},
     "max_level": {"type": int, "help": "the scan prints the levels from the base to "
-                                       "min(MAX_LEVEL, base + BATCH - 1) (default 200)"},
+                                       "min(MAX_LEVEL, base + BATCH - 1) (default: no cap)"},
     "batch": {"type": int, "help": "how many levels from the base to scan (default 25)"},
     "csv": {"help": "write the level/value table here instead of stdout"},
 }
@@ -187,22 +187,21 @@ def _write_table(lines: list[str], path: str | None) -> None:
 
 
 def cmd_limit_scan(args) -> int:
-    merged = {"max_level": 200}
-    if args.config:
-        merged.update(_load_config(args.config))
+    merged = _load_config(args.config) if args.config else {}
     merged.update((key, flag) for key in _SCAN_KEYS
                   if (flag := getattr(args, key)) is not None)
     if "family" not in merged or "coeffs" not in merged:
         raise ValueError("limit-scan needs family and coeffs (flags or config)")
-    system = DirectSystem(merged["family"], merged["coeffs"], merged.get("p"))
-    # only a batch given is passed, so the default stays in one place
-    batch = {"batch": merged["batch"]} if "batch" in merged else {}
-    seq, report = classify_scan(system, merged["max_level"], **batch)
+    system = DirectSystem(merged.pop("family"), merged.pop("coeffs"), merged.pop("p", None))
+    csv_path = merged.pop("csv", None)
+    # only the settings given (max_level, batch) are passed, so the
+    # defaults stay in classify_scan
+    seq, report = classify_scan(system, **merged)
     csv_lines = ["level,c_num,c_den,c_float"]
     for level, value in zip(seq.levels, seq.values):
         csv_lines.append(f"{level},{fmt_int(value.numerator)},{fmt_int(value.denominator)},"
                          f"{fmt_float(value)}")
-    _write_table(csv_lines, merged.get("csv"))
+    _write_table(csv_lines, csv_path)
     emit_json({
         "verdict": report.verdict,
         "limit_estimate": report.limit_estimate,

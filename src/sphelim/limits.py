@@ -455,11 +455,12 @@ def classify(seq: CSequence) -> ConvergenceReport:
         "certificate": _decay_certificate(system.base_level, forms)})
 
 
-def classify_scan(system: DirectSystem, max_level: int,
+def classify_scan(system: DirectSystem, max_level: int | None = None,
                   batch: int = 25, max_workers: int = 1) -> tuple[CSequence, ConvergenceReport]:
     """Scan the chain's levels from its base level to min(max_level, base
-    + batch - 1) and decide: ``c_sequence`` at those levels, then
-    ``classify``.  Returns the scanned sequence and its report.
+    + batch - 1), or to base + batch - 1 when max_level is None (no cap),
+    and decide: ``c_sequence`` at those levels, then ``classify``.  Returns
+    the scanned sequence and its report.
 
     Both read the chain's memoized table, so a scan builds at most four
     spaces whatever its length.  ``batch`` sets where the scan stops,
@@ -468,11 +469,15 @@ def classify_scan(system: DirectSystem, max_level: int,
     passes ``max_workers=1``, and that harness must run unchanged on every
     revision it compares.
     """
-    max_level, batch = _as_int(max_level, "max_level"), _as_int(batch, "batch")
+    batch = _as_int(batch, "batch")
     base = system.base_level
-    if max_level < base:
-        raise ValueError("max_level is below the base level")
+    top = base + batch - 1
+    if max_level is not None:
+        max_level = _as_int(max_level, "max_level")
+        if max_level < base:
+            raise ValueError("max_level is below the base level")
+        top = min(max_level, top)
     if batch < 1:
         raise ValueError("batch must be at least 1")
-    seq = c_sequence(system, range(base, min(max_level, base + batch - 1) + 1))
+    seq = c_sequence(system, range(base, top + 1))
     return seq, classify(seq)

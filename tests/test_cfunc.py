@@ -33,7 +33,6 @@ from sphelim.cfunc import (
     _root_terms,
     _row_plan,
     _rows,
-    c_factor,
     c_factor_reference,
     c_gamma,
     c_oracle,
@@ -129,32 +128,33 @@ class TestCFactorParams:
 
 class TestCFactor:
     def test_frozen_rank_one_values(self):
-        assert c_factor(CFactorParams(1, Fraction(1, 4), Fraction(3, 4),
-                                      Fraction(1, 4))) == Fraction(3, 8)
-        assert c_factor(CFactorParams(1, Fraction(1, 2), Fraction(1),
-                                      Fraction(1, 2))) == Fraction(1, 3)
+        assert c_factor_reference(CFactorParams(1, Fraction(1, 4), Fraction(3, 4),
+                                                Fraction(1, 4))) == Fraction(3, 8)
+        assert c_factor_reference(CFactorParams(1, Fraction(1, 2), Fraction(1),
+                                                Fraction(1, 2))) == Fraction(1, 3)
 
     def test_mu_zero_is_one(self):
-        assert c_factor(CFactorParams(0, Fraction(7, 4), Fraction(5, 2),
-                                      Fraction(9, 4))) == 1
+        assert c_factor_reference(CFactorParams(0, Fraction(7, 4), Fraction(5, 2),
+                                                Fraction(9, 4))) == 1
 
     def test_trivial_multiplicity_profile_is_one(self):
         # x = 1/2, y = 0 encodes m = m_half = 0; every factor collapses to 1
         for mu in range(6):
             params = CFactorParams(mu, Fraction(3, 4), Fraction(1, 2), Fraction(0))
-            assert c_factor(params) == 1
+            assert c_factor_reference(params) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(
         mu=st.integers(min_value=0, max_value=6),
         rho_num=st.integers(min_value=1, max_value=40),
-        rho_den=st.integers(min_value=1, max_value=7),
+        rho_den=st.sampled_from([1, 2, 4, 8]),
         m=st.integers(min_value=0, max_value=8),
         mh=st.integers(min_value=0, max_value=8),
     )
     def test_matches_reference_form_and_bounds(self, mu, rho_num, rho_den, m, mh):
-        params = CFactorParams.from_multiplicities(mu, Fraction(rho_num, rho_den), m, mh)
-        value = c_factor(params)
+        rho_a = Fraction(rho_num, rho_den)
+        params = CFactorParams.from_multiplicities(mu, rho_a, m, mh)
+        value = Fraction(*_root_factor(mu, int(8 * rho_a), 2 * (mh + 2), 2 * (mh + 2 * m)))
         assert value == c_factor_reference(params)
         assert 0 < value <= 1
         if mu > 0 and (m, mh) != (0, 0):
@@ -169,7 +169,7 @@ class TestCFactor:
     )
     def test_matches_gamma_oracle(self, mu, rho_num, m, mh):
         params = CFactorParams.from_multiplicities(mu, Fraction(rho_num, 4), m, mh)
-        exact = c_factor(params)
+        exact = Fraction(*_root_factor(mu, 2 * rho_num, 2 * (mh + 2), 2 * (mh + 2 * m)))
         with mpmath.workdps(50):
             oracle = gamma_form(params)
             exact_mp = mpmath.mpf(exact.numerator) / exact.denominator
@@ -180,17 +180,14 @@ class TestCFactor:
 class TestRootFactorMemo:
     def test_entries_are_coprime_and_exact(self):
         """Every memo entry is the reference factor in lowest terms, for
-        quarter-integer rho, x, y and for rho that only c_factor's scale
-        8 * denominator makes integral."""
-        rhos = [Fraction(k, 4) for k in range(1, 13)] + [
-            Fraction(k, d) for d in (3, 5) for k in range(1, 2 * d) if k % d]
+        rho in eighths and quarter-integer x, y."""
         cases = 0
-        for mu, rho_a in itertools.product(range(7), rhos):
-            q = 8 * rho_a.denominator
+        for mu, rho8 in itertools.product(range(7), range(1, 25)):
+            rho_a = Fraction(rho8, 8)
             for x4 in range(2, 8):
                 for y4 in range(x4 - 2, x4 + 5):
                     params = CFactorParams(mu, rho_a, Fraction(x4, 4), Fraction(y4, 4))
-                    num, den = _root_factor(mu, int(rho_a * q), x4 * q // 4, y4 * q // 4, q)
+                    num, den = _root_factor(mu, rho8, 2 * x4, 2 * y4)
                     assert den > 0 and math.gcd(num, den) == 1, params
                     assert Fraction(num, den) == c_factor_reference(params), params
                     cases += 1
@@ -275,7 +272,7 @@ class TestCValue:
             m, mh = datum.mults_for(root.orbit)
             if m == 0 and mh == 0:
                 continue
-            product *= c_factor(CFactorParams.from_root(datum, mu, root))
+            product *= c_factor_reference(CFactorParams.from_root(datum, mu, root))
         assert c_value(datum, coeffs) == product
 
     def test_weight_and_coefficient_inputs_agree(self):
@@ -612,7 +609,7 @@ class TestRunTelescoping:
                              for d in data})
         assert pair_mults == [1, 2, 4]
         for m, mu, rho8 in itertools.product(pair_mults, range(6), range(1, 41)):
-            num, den = _root_terms(mu, rho8, 4, 4 * m, 8)
+            num, den = _root_terms(mu, rho8, 4, 4 * m)
             assert len(num) + len(den) == 4 * mu + 1
             r = Fraction(rho8, 8)
             want = pochhammer(r, mu) / pochhammer(r + Fraction(m, 2), mu)
@@ -622,7 +619,7 @@ class TestRunTelescoping:
                                 start=Fraction(1))
                 run /= math.prod(pochhammer(r + Fraction(m * (i + 1), 2), mu)
                                  for i in range(length))
-                assert Fraction(*_root_factor(mu, rho8, 4, 4 * m * length, 8)) == run
+                assert Fraction(*_root_factor(mu, rho8, 4, 4 * m * length)) == run
 
     def test_covers_every_row_and_the_d_fork(self):
         assert {d.family for d, _, _ in RUN_CASES} == {row.slug for row in catalog_rows()}

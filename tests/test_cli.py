@@ -241,6 +241,21 @@ class TestLimitScan:
         assert code == 2 and out == ""
         assert "batch must be at least 1" in err
 
+    def test_no_default_cap_above_level_200(self, capsys):
+        # without --max-level the scan is not capped: a base level of 201
+        # scans its batch of 25 levels, and a batch of 300 prints 300 levels
+        code, out, _ = run_cli(capsys, "limit-scan", "--family", "group-su",
+                               "--coeffs", ",".join(["1"] * 201))
+        assert code == 0
+        levels = [int(line.split(",")[0]) for line in out.splitlines()[1:-1]]
+        assert levels == list(range(201, 226))
+        code, out, _ = run_cli(capsys, "limit-scan", "--family", "group-su",
+                               "--coeffs", "1", "--batch", "300")
+        assert code == 0
+        levels = [int(line.split(",")[0]) for line in out.splitlines()[1:-1]]
+        assert levels == list(range(1, 301))
+        assert last_json(out)["verdict"] == "ZeroLimit"
+
     @pytest.mark.parametrize("argv, digest", [
         ("rank1-real --coeffs 1 --max-level 150 --batch 7",
          "6247e459018d1a22f3c772ff925fc6c63c27e19742e326ccc1352b17650870c6"),

@@ -760,6 +760,19 @@ class TestGrassmannianTable:
         with pytest.raises(ArithmeticError, match=error):
             c_sequence(system, range(2, 6))
 
+    def test_refuses_a_root_set_that_moves_with_the_level(self, monkeypatch):
+        # a middle orbit that vanishes at one level drops its pair roots
+        # there, so the table's readings have different lengths
+        real = limits.datum_at_level
+        system = DirectSystem("grass-complex", (1, 1), fixed_p=2)
+        moved = system.base_level + 2
+        monkeypatch.setattr(limits, "datum_at_level", lambda system, level: (
+            dataclasses.replace(real(system, level), mult_middle=0) if level == moved
+            else real(system, level)))
+        with pytest.raises(ArithmeticError,
+                           match="^internal error: the root set moves with the level$"):
+            limits._chain_table(system)
+
     def test_root_factor_memo_does_not_grow_with_the_scan(self):
         system = DirectSystem("grass-quaternion", (1,) * 6, fixed_p=6)
         sizes = []
@@ -907,6 +920,15 @@ class TestFiniteChains:
     def test_max_level_below_base(self):
         with pytest.raises(ValueError, match="below the base level"):
             classify_scan(DirectSystem("grass-real", (1, 1, 1), fixed_p=3), max_level=2)
+
+    @pytest.mark.parametrize("system", [DirectSystem("grass-real", (1, 1, 1), fixed_p=3),
+                                        DirectSystem("group-su", (1,) * 201)],
+                             ids=["finite", "infinite-base-201"])
+    def test_no_max_level_is_no_cap(self, system):
+        # None scans the whole batch from the base, whatever the base level
+        seq, report = classify_scan(system)
+        assert seq.levels == tuple(range(system.base_level, system.base_level + 25))
+        assert (seq, report) == classify_scan(system, system.base_level + 24)
 
     @pytest.mark.parametrize("batch", [0, -3])
     def test_batch_below_one(self, batch):
