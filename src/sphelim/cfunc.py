@@ -40,10 +40,6 @@ from .rootdata import (
     weight_from_xi,
 )
 
-# Exact rationals ride on the stdlib Fraction: arbitrary-precision integer
-# numerator/denominator, canonical reduced form, positive denominator.
-BigRational = Fraction
-
 
 @dataclass(frozen=True)
 class CFactorParams:
@@ -396,12 +392,6 @@ def c_oracle(datum: SpaceDatum, mu) -> float:
     return _gamma_sum(datum, [4 * a + r for a, r in zip(_xi_f_ints(datum.psi, mu), r4)])
 
 
-def overlap_highest_weight(datum: SpaceDatum, mu) -> float:
-    """Inner product of the normalized spherical vector with the highest
-    weight vector: the square root of the exact overlap constant."""
-    return math.sqrt(float(c_value(datum, mu)))
-
-
 def _check_propagates(datum_m: SpaceDatum, datum_n: SpaceDatum) -> None:
     if datum_m.family != datum_n.family:
         raise ValueError(f"families differ: {datum_m.family!r} vs {datum_n.family!r}")
@@ -421,8 +411,3 @@ def overlap_q_squared(datum_m: SpaceDatum, datum_n: SpaceDatum, coeffs) -> Fract
     low = pad_xi_coeffs(coeffs, datum_n.rank)
     high = pad_xi_coeffs(low, datum_m.rank)
     return c_value(datum_m, high) / c_value(datum_n, low)
-
-
-def overlap_q(datum_m: SpaceDatum, datum_n: SpaceDatum, coeffs) -> float:
-    """Overlap of the level-n spherical vector with the level-m one."""
-    return math.sqrt(float(overlap_q_squared(datum_m, datum_n, coeffs)))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .cfunc import _product, _root_terms, _rows
+from .cfunc import _product, _rows
 from .rootdata import (
     FAMILIES,
     SpaceDatum,
@@ -225,8 +225,8 @@ def _chain_table(system: DirectSystem) -> tuple[Fraction, tuple[int, int, tuple,
     and verdict of a chain reads it once per process.
 
     c(b) is the whole product at the base level.  The forms are read from
-    the factors (``cfunc._rows``) of the next three levels, each factor as
-    its integer terms (``cfunc._root_terms``), over the integer
+    the factor keys (mu_alpha, 8 rho_alpha, 8 x_alpha, 8 y_alpha) of
+    ``cfunc._rows`` at the next three levels, over the integer
     f-coefficients of the propagated weight.
 
     Finite rank (p fixed, level q): only the half-root multiplicity
@@ -250,12 +250,16 @@ def _chain_table(system: DirectSystem) -> tuple[Fraction, tuple[int, int, tuple,
     catalog chain has one, as ``FamilyRow.mults_of`` gives every
     infinite-rank family constant ones.
 
-    Either way every term is affine in t, so its values t1, t2 at the first
-    two readings give the form (t2 - t1) t + t1, once t3 - t2 = t2 - t1 is
-    checked at the third.  Every form is divided by its content, the
-    contents go into C_n and C_d, and equal forms cancel.  Raises
-    ArithmeticError if the factors change in number, a term is not affine,
-    or a form could turn nonpositive at some t >= 0.
+    Either way a key (mu, r, x, y) of the first reading, with steps
+    (0, dr, dx, dy) to the second, checked at the third, is a factor of
+    ``cfunc._root_terms`` with the forms (2dr, 2r + 8j) for j < 2 mu over
+    (dr + dx, r + x + 8j) and (dr + dy, r + y + 8j) for j < mu.  Each form
+    with a nonzero slope is divided by its content and counted, and equal
+    forms cancel.  The rest, 4^mu and the constant forms included, is
+    C_n / C_d = F(0) prod d / prod b over the forms left, with F(0) the
+    table's value at t = 0: the product of the first reading's rows.
+    Raises ArithmeticError if the factors change in number, a key is not
+    affine or its mu moves, or a form could turn nonpositive at some t >= 0.
     """
     infinite = system.mode == MODE_INFINITE
     base = system.base_level
@@ -263,48 +267,43 @@ def _chain_table(system: DirectSystem) -> tuple[Fraction, tuple[int, int, tuple,
     for level in range(base, base + 4):
         datum, xi = _propagated_xi(system, level)
         coeffs = _f_ints_from_xi(datum.psi, xi)
+        rows = list(_rows(datum, coeffs, lo))
         if level == base:
-            value = Fraction(*_product(_rows(datum, coeffs, 0)))
+            value = Fraction(*_product(rows))
         elif infinite and _mults(datum) != mults:
             raise ArithmeticError(
                 f"internal error: level {level} does not extend the level below it")
         else:
-            readings.append([_root_terms(*key) for row in _rows(datum, coeffs, lo)
-                             for key in row])
+            if level == base + 1:
+                at_zero = Fraction(*_product(rows))
+            readings.append([key for row in rows for key in row])
         mults, lo = _mults(datum), len(coeffs) if infinite else 0
     if len({len(reading) for reading in readings}) != 1:
         raise ArithmeticError("internal error: the root set moves with the level")
-    num, den = [], []
+    num, den = Counter(), Counter()
     for first, second, third in zip(*readings):
-        for forms, t1, t2, t3 in zip((num, den), first, second, third):
-            slopes = [b - a for a, b in zip(t1, t2)]
-            if (not len(t1) == len(t2) == len(t3)
-                    or slopes != [c - b for b, c in zip(t2, t3)]):
-                raise ArithmeticError("internal error: a root factor is not affine in the level")
-            forms += zip(slopes, t1)
-    const_num, num = _primitive_forms(num)
-    const_den, den = _primitive_forms(den)
-    common = num & den
-    g = math.gcd(const_num, const_den)
-    return value, (const_num // g, const_den // g,
-                   tuple(sorted((num - common).elements())),
-                   tuple(sorted((den - common).elements())))
+        steps = [b - a for a, b in zip(first, second)]
+        if steps[0] or steps != [c - b for b, c in zip(second, third)]:
+            raise ArithmeticError("internal error: a root factor is not affine in the level")
+        (mu, r, x, y), (_, dr, dx, dy) = first, steps
+        _count_forms(num, 2 * dr, 2 * r, 2 * mu)
+        _count_forms(den, dr + dx, r + x, mu)
+        _count_forms(den, dr + dy, r + y, mu)
+    num, den = (tuple(sorted((a - b).elements())) for a, b in ((num, den), (den, num)))
+    const = at_zero * Fraction(math.prod(d for _, d in den), math.prod(b for _, b in num))
+    return value, (const.numerator, const.denominator, num, den)
 
 
-def _primitive_forms(forms: Iterable[tuple[int, int]]) -> tuple[int, Counter]:
-    """The product of the forms' contents, and the nonconstant forms divided
-    by their content, counted; a constant form goes wholly into the content.
-    Every intercept is positive (``cfunc._row_plan`` checks rho), so a form
-    stays positive for every t >= 0 unless its slope is negative."""
-    content, out = 1, Counter()
-    for a, b in forms:
-        if a < 0:
-            raise ArithmeticError("internal error: a linear form of the table decreases")
-        g = math.gcd(a, b)
-        content *= g
-        if a:
-            out[a // g, b // g] += 1
-    return content, out
+def _count_forms(forms: Counter, slope: int, start: int, count: int) -> None:
+    """Count slope t + start + 8j, j < count, over its content, if slope
+    != 0.  Intercepts are positive (``cfunc._row_plan`` checks rho), so a
+    form turns nonpositive at some t >= 0 only if its slope is negative."""
+    if slope < 0:
+        raise ArithmeticError("internal error: a linear form of the table decreases")
+    if slope:
+        for b in range(start, start + 8 * count, 8):
+            g = math.gcd(slope, b)
+            forms[slope // g, b // g] += 1
 
 
 def c_sequence(system: DirectSystem, levels: Sequence[int]) -> CSequence:

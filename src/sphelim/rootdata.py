@@ -277,7 +277,7 @@ def build_space(family: str, p: int | None = None, q: int | None = None,
     try:
         fam = FAMILIES[family]
     except KeyError:
-        raise ValueError(f"unknown family {family!r}; see catalog_rows()") from None
+        raise ValueError(f"unknown family {family!r}; see FAMILIES") from None
     if fam.param_kind == "pq":
         if fam.fixed_p is not None:
             if p is not None and _as_int(p, "p") != fam.fixed_p:
@@ -302,11 +302,6 @@ def build_space(family: str, p: int | None = None, q: int | None = None,
         args = (n,)
     return SpaceDatum(family, fam.row, RootSystemType(fam.psi_label, fam.rank_of(*args)),
                       tuple(zip(fam.param_kind, args)), *fam.mults_of(*args), d=fam.d)
-
-
-def catalog_rows() -> list[FamilyRow]:
-    """All catalog rows, primary catalog first, alias last."""
-    return list(FAMILIES.values())
 
 
 # --------------------------------------------------------------------------

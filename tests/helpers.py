@@ -1,15 +1,18 @@
 """Shared test fixtures: canonical small instances of every catalog family,
-a closed-form overlap oracle for the group spaces, and the log-Gamma
-oracle's sum written out."""
+a closed-form overlap oracle for the group spaces, the log-Gamma oracle's
+sum written out, and a chain table read term by term."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
-from sphelim.cfunc import _log_cprime
+from sphelim import limits
+from sphelim.cfunc import _log_cprime, _product, _root_terms, _rows
 from sphelim.rootdata import (
     FAMILIES,
     RestrictedRoot,
     SpaceDatum,
+    _f_ints_from_xi,
     build_space,
     iter_root_support,
     rho,
@@ -105,6 +108,64 @@ def memo_free_c_gamma(datum: SpaceDatum, lam) -> float:
         total += (_log_cprime(lam4 / (4 * norm_sq), mh / 4.0, m)
                   - _log_cprime(rho4 / (4 * norm_sq), mh / 4.0, m))
     return math.exp(total)
+
+
+def chain_table_by_terms(system: limits.DirectSystem) -> tuple:
+    """``limits._chain_table`` read term by term, with no memo: every factor
+    key of the next three levels is expanded into its integer terms
+    (``_root_terms``), each term is checked affine and read as the form
+    (t2 - t1) t + t1, and every form is divided by its content, which goes
+    into C_n or C_d, a constant form wholly (``_primitive_forms``).  Equal
+    forms cancel.  Slow (about p^6 on a Grassmannian chain of width p), but
+    it shares neither the table's key check nor its constant from the value
+    at t = 0."""
+    infinite = system.mode == limits.MODE_INFINITE
+    base = system.base_level
+    readings, mults, lo = [], None, 0
+    for level in range(base, base + 4):
+        datum, xi = limits._propagated_xi(system, level)
+        coeffs = _f_ints_from_xi(datum.psi, xi)
+        if level == base:
+            value = Fraction(*_product(_rows(datum, coeffs, 0)))
+        elif infinite and limits._mults(datum) != mults:
+            raise ArithmeticError(
+                f"internal error: level {level} does not extend the level below it")
+        else:
+            readings.append([_root_terms(*key) for row in _rows(datum, coeffs, lo)
+                             for key in row])
+        mults, lo = limits._mults(datum), len(coeffs) if infinite else 0
+    if len({len(reading) for reading in readings}) != 1:
+        raise ArithmeticError("internal error: the root set moves with the level")
+    num, den = [], []
+    for first, second, third in zip(*readings):
+        for forms, t1, t2, t3 in zip((num, den), first, second, third):
+            slopes = [b - a for a, b in zip(t1, t2)]
+            if (not len(t1) == len(t2) == len(t3)
+                    or slopes != [c - b for b, c in zip(t2, t3)]):
+                raise ArithmeticError("internal error: a root factor is not affine in the level")
+            forms += zip(slopes, t1)
+    const_num, num = _primitive_forms(num)
+    const_den, den = _primitive_forms(den)
+    common = num & den
+    g = math.gcd(const_num, const_den)
+    return value, (const_num // g, const_den // g,
+                   tuple(sorted((num - common).elements())),
+                   tuple(sorted((den - common).elements())))
+
+
+def _primitive_forms(forms) -> tuple[int, Counter]:
+    """The product of the forms' contents, and the nonconstant forms divided
+    by their content, counted; a constant form goes wholly into the content.
+    A negative slope raises, as the table does."""
+    content, out = 1, Counter()
+    for a, b in forms:
+        if a < 0:
+            raise ArithmeticError("internal error: a linear form of the table decreases")
+        g = math.gcd(a, b)
+        content *= g
+        if a:
+            out[a // g, b // g] += 1
+    return content, out
 
 
 def inverse_weyl_dimension(label: str, mu_f) -> Fraction:

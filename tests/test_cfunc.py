@@ -24,7 +24,6 @@ from helpers import (
 )
 from sphelim import cfunc
 from sphelim.cfunc import (
-    BigRational,
     CFactorParams,
     _gamma_root_table,
     _gamma_term,
@@ -37,18 +36,16 @@ from sphelim.cfunc import (
     c_gamma,
     c_oracle,
     c_value,
-    overlap_highest_weight,
-    overlap_q,
     overlap_q_squared,
 )
 from sphelim.limits import DirectSystem, c_sequence
 from sphelim.rootdata import (
+    FAMILIES,
     ROOT_PATTERNS,
     Weight,
     _f_ints_from_xi,
     _rho4,
     build_space,
-    catalog_rows,
     lambda_alpha,
     pad_xi_coeffs,
     positive_nonmultipliable_roots,
@@ -81,10 +78,6 @@ def gamma_form(params: CFactorParams, dps: int = 50) -> mpmath.mpf:
         den = mpmath.power(4, mu) * mpmath.gamma(2 * rho) \
             * mpmath.gamma(lam + x) * mpmath.gamma(lam + y)
         return num / den
-
-
-def test_big_rational_is_stdlib_fraction():
-    assert BigRational is Fraction
 
 
 class TestCFactorParams:
@@ -454,15 +447,10 @@ class TestCGammaOracle:
 
 
 class TestOverlaps:
-    def test_highest_weight_overlap(self):
-        datum = build_space("rank1-real", q=2)
-        assert overlap_highest_weight(datum, (1,)) == pytest.approx(math.sqrt(3 / 8), rel=1e-15)
-
     def test_q_squared_between_sphere_levels(self):
         d3 = build_space("rank1-real", q=3)
         d2 = build_space("rank1-real", q=2)
         assert overlap_q_squared(d3, d2, (1,)) == Fraction(8, 9)
-        assert overlap_q(d3, d2, (1,)) == pytest.approx(math.sqrt(8 / 9), rel=1e-15)
 
     def test_chain_identity(self):
         # q(m, l) = q(m, n) q(n, l), exactly at the squared level
@@ -604,7 +592,7 @@ class TestRunTelescoping:
         run of L pair roots, rho moving by m/2 per root, telescopes to one
         such factor of multiplicity L m at the run's smallest rho."""
         data = [build_space(row.slug, p=1, q=2) if row.param_kind == "pq"
-                else build_space(row.slug, n=max(row.min_n, 2)) for row in catalog_rows()]
+                else build_space(row.slug, n=max(row.min_n, 2)) for row in FAMILIES.values()]
         pair_mults = sorted({d.mults_for(ROOT_PATTERNS[d.psi.label].pair_orbit)[0]
                              for d in data})
         assert pair_mults == [1, 2, 4]
@@ -622,7 +610,7 @@ class TestRunTelescoping:
                 assert Fraction(*_root_factor(mu, rho8, 4, 4 * m * length)) == run
 
     def test_covers_every_row_and_the_d_fork(self):
-        assert {d.family for d, _, _ in RUN_CASES} == {row.slug for row in catalog_rows()}
+        assert {d.family for d, _, _ in RUN_CASES} == {row.slug for row in FAMILIES.values()}
         fork = [coeffs for d, coeffs, _ in RUN_CASES if d.psi.label == "D"]
         assert fork and all(coeffs[0] < coeffs[1] for coeffs in fork)
         assert max(d.rank for d, _, _ in RUN_CASES) > 25

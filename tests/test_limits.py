@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import inverse_weyl_dimension, jack_at_ones
+from helpers import chain_table_by_terms, inverse_weyl_dimension, jack_at_ones
 
 from sphelim import cfunc, limits, rootdata
 from sphelim.cfunc import CFactorParams, _root_factor, c_value
@@ -773,6 +773,22 @@ class TestGrassmannianTable:
                            match="^internal error: the root set moves with the level$"):
             limits._chain_table(system)
 
+    def test_refuses_a_weight_that_moves_with_the_level(self, monkeypatch):
+        # a weight scaled by q - p keeps the root set but moves every
+        # mu_alpha, so no factor key is affine with a fixed mu
+        real = limits._propagated_xi
+
+        def scaled(system, level):
+            datum, xi = real(system, level)
+            return datum, tuple((level - system.fixed_p) * c for c in xi)
+
+        monkeypatch.setattr(limits, "_propagated_xi", scaled)
+        system = DirectSystem("grass-complex", (1, 1), fixed_p=2)
+        with pytest.raises(ArithmeticError, match="not affine"):
+            limits._chain_table(system)
+        with pytest.raises(ArithmeticError, match="not affine"):
+            c_sequence(system, range(2, 6))
+
     def test_root_factor_memo_does_not_grow_with_the_scan(self):
         system = DirectSystem("grass-quaternion", (1,) * 6, fixed_p=6)
         sizes = []
@@ -783,7 +799,7 @@ class TestGrassmannianTable:
             sizes.append(_root_factor.cache_info().currsize)
         assert sizes[0] == sizes[1]
         # an infinite-rank fold steps by its table's linear forms, so it
-        # reads the memo only for the base level's whole product
+        # reads the memo only for the table's two products
         sizes = []
         for top in (200, 1200):
             _root_factor.cache_clear()
@@ -877,6 +893,34 @@ class TestGrassmannianTable:
                 assert near == far == 0, k
             else:
                 assert 50 * abs(far) <= abs(near), k
+
+
+# every chain the table tests read, and all-ones Grassmannian chains of
+# width 10, 20 and 30
+ORACLE_SYSTEMS = [*dict.fromkeys(ROW_SYSTEMS + FOLD_SYSTEMS + TABLE_SYSTEMS + STABLE_SYSTEMS),
+                  *(DirectSystem(family, (1,) * p, fixed_p=p)
+                    for family in FINITE_FAMILIES for p in (10, 20, 30))]
+
+
+class TestTableByKeys:
+    """The table reads each factor key at three levels, and its constant
+    from the value at t = 0; the per-term reading must give it exactly."""
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=lambda s: (
+        f"{s.family}{s.base_coeffs}" if len(s.base_coeffs) <= 6
+        else f"{s.family}-ones-{len(s.base_coeffs)}"))
+    def test_table_matches_the_per_term_reading(self, system):
+        assert limits._chain_table(system) == chain_table_by_terms(system)
+
+    def test_a_wide_chain(self):
+        # width 120, all ones: about 1.35 p^3 nonconstant forms, of which
+        # about 6p are distinct, and a constant read from one product
+        system = DirectSystem("grass-real", (1,) * 120, fixed_p=120)
+        seq = c_sequence(system, (121, 500))
+        assert seq.values == _from_scratch(system, seq.levels)
+        report = classify(seq)
+        assert report.verdict == VERDICT_POSITIVE
+        assert 0 < report.evidence["limit"] <= seq.values[-1]
 
 
 class TestFiniteChains:

@@ -27,7 +27,6 @@ from sphelim.rootdata import (
     _int_fraction,
     _rho4,
     build_space,
-    catalog_rows,
     fundamental_weights,
     in_lambda_plus,
     iter_root_support,
@@ -78,8 +77,8 @@ class TestRestrictedRoot:
 
 class TestCatalog:
     def test_thirteen_rows(self):
-        assert len(catalog_rows()) == 13
-        assert {row.slug for row in catalog_rows()} == set(FAMILIES)
+        assert len(FAMILIES.values()) == 13
+        assert {row.slug for row in FAMILIES.values()} == set(FAMILIES)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
@@ -104,7 +103,7 @@ class TestCatalog:
         # (slug, params, rank, mult_middle, mult_alpha1, mult_half, d); the
         # digest was taken when each row still carried its own callables
         sweep = []
-        for fam in catalog_rows():
+        for fam in FAMILIES.values():
             if fam.param_kind == "pq":
                 data = [build_space(fam.slug, p=p, q=q)
                         for p in ([fam.fixed_p] if fam.fixed_p else range(1, 5))
@@ -118,7 +117,7 @@ class TestCatalog:
             "64104c36beab4117217a95984357e7cf5db429da0e3878ba49260177bd833c0d")
 
     def test_rows_are_data(self):
-        for fam in catalog_rows():
+        for fam in FAMILIES.values():
             assert not any(callable(getattr(fam, f.name)) for f in dataclasses.fields(fam))
             assert (fam.d is None) != (fam.mults is None)
             assert fam.param_kind == ("n" if fam.d is None else "pq")
@@ -141,7 +140,7 @@ class TestCatalog:
         # rank n, n - 1 on type A; the least n is the label's least rank,
         # plus one on type A
         expected_min_n = {"A": 2, "B": 1, "C": 1, "D": 4}
-        for fam in catalog_rows():
+        for fam in FAMILIES.values():
             if fam.d is not None:
                 continue
             assert fam.min_n == expected_min_n[fam.psi_label]
