@@ -134,8 +134,9 @@ def _reject(datum: SpaceDatum, w):
     )
 
 
-# Entries kept by the root-factor memo.  Fixed, so that long chain scans,
-# whose keys change from level to level, hold a bounded set of integers.
+# Entries kept by the root-factor memo.  Fixed, so that ``c-eval`` across
+# many weights and the criterion-3 sweep hold a bounded set of integers; a
+# chain scan reads it only for the two products of its table.
 _FACTOR_CACHE_SIZE = 4096
 
 
@@ -212,7 +213,7 @@ def _product(rows: Iterable[list[tuple[int, int, int, int]]]) -> tuple[int, int]
 @functools.lru_cache(maxsize=256)
 def _row_plan(datum: SpaceDatum) -> tuple[int, bool, tuple[int, int] | None,
                                           tuple[int, int] | None, tuple[int, ...]]:
-    """What ``_rows`` needs of a datum, memoized like ``_rho4``: (s, sums,
+    """What ``_rows`` needs of a datum, memoized per datum: (s, sums,
     single, pair, r4) with s and sums from ``ROOT_PATTERNS``, single and
     pair the (8x, 8y) of the single roots s*f_j and of a pair root, or None
     where the orbit has multiplicity zero, and r4 = 4 rho (``_rho4``).

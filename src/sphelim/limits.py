@@ -15,7 +15,6 @@ from that table.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
@@ -145,24 +144,17 @@ class CSequence:
         return self.levels[-1], self.values[-1]
 
     def extended(self, more_levels: Sequence[int]) -> "CSequence":
-        fresh = sorted(set(_as_ints(more_levels, "level")) - set(self.levels))
-        if not fresh:
+        """The chain's memoized table read at the union of the held and the
+        given levels, so its values are those of ``c_sequence``."""
+        levels = tuple(sorted(set(self.levels) | set(_as_ints(more_levels, "level"))))
+        if len(levels) == len(self.levels):
             return self
-        held = bisect.bisect(self.levels, fresh[0])
-        start = (self.levels[held - 1], self.values[held - 1]) if held else None
-        values = tuple(_values_at(self.system, fresh, start=start))
-        merged = sorted(zip(self.levels + tuple(fresh), self.values + values))
-        return CSequence(self.system,
-                         tuple(lv for lv, _ in merged),
-                         tuple(v for _, v in merged))
+        return CSequence(self.system, levels, tuple(_values_at(self.system, levels)))
 
 
-def _values_at(system: DirectSystem, levels: Iterable[int],
-               start: tuple[int, Fraction] | None = None) -> Iterator[Fraction]:
+def _values_at(system: DirectSystem, levels: Iterable[int]) -> Iterator[Fraction]:
     """Exact values at ascending levels, yielded one at a time, from the
-    chain's ``_chain_table``.  ``start`` is a known (level, value) at or
-    below the first level asked for; infinite-rank values step up from it
-    instead of from the base.
+    chain's ``_chain_table``.
 
     The base level's value is the table's whole product.  Above it, a
     finite-rank value c(q) is the table's rational function at t = q - p - 1,
@@ -172,8 +164,7 @@ def _values_at(system: DirectSystem, levels: Iterable[int],
     Fraction is canonical, every value is the one ``c_value`` gives.
     """
     value, forms = _chain_table(system)
-    base = system.base_level
-    top, value = start or (base, value)
+    base = top = system.base_level
     finite = system.mode == MODE_FINITE
     for level in levels:
         if level < base:

@@ -466,7 +466,6 @@ def _as_f_vector(obj, lam) -> tuple[Fraction, ...]:
     return vec
 
 
-@functools.lru_cache(maxsize=256)
 def _rho4(datum: SpaceDatum) -> tuple[int, ...]:
     """4 * rho in f-coefficients (always integral).
 
@@ -487,7 +486,7 @@ def _rho4(datum: SpaceDatum) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=256)
 def rho(datum: SpaceDatum) -> Weight:
     """Half the multiplicity-weighted sum of the positive restricted roots.
-    Memoized like ``_rho4``: the datum and the returned Weight are frozen."""
+    Memoized per datum: the datum and the returned Weight are frozen."""
     return Weight(tuple(Fraction(c, 4) for c in _rho4(datum)))
 
 

@@ -135,14 +135,14 @@ class ZonalFunction:
 # rotations
 
 
-def _check_rotation(x: np.ndarray, dim: int, tol: float = 1e-12) -> np.ndarray:
+def _check_rotation(x: np.ndarray, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (dim, dim):
         raise ValueError(f"expected a {dim} x {dim} matrix, got shape {x.shape}")
     defect = float(np.max(np.abs(x.T @ x - np.eye(dim))))
     # written so that NaN entries fail both tests
-    if not defect <= tol:
-        raise ValueError(f"matrix is not orthogonal (defect {defect:.3e} > {tol:.0e})")
+    if not defect <= 1e-12:
+        raise ValueError(f"matrix is not orthogonal (defect {defect:.3e} > 1e-12)")
     if not np.linalg.det(x) > 0:
         raise ValueError("matrix must be a proper rotation (positive determinant)")
     return x

@@ -44,7 +44,6 @@ from sphelim.rootdata import (
     ROOT_PATTERNS,
     Weight,
     _f_ints_from_xi,
-    _rho4,
     build_space,
     lambda_alpha,
     pad_xi_coeffs,
@@ -187,11 +186,11 @@ class TestRootFactorMemo:
         assert cases == 7 * 24 * 6 * 7
 
     def test_memos_stay_bounded_over_the_criterion_3_sweep(self):
-        """Both per-root memos, and the per-datum memos of 4 rho, of the row
-        plan and of the oracle's root table, hold the whole criterion-3
+        """Both per-root memos, and the per-datum memos of the row plan and
+        of the oracle's root table, hold the whole criterion-3
         working set: they stay within their bounds and never evict, so each
         key is computed once."""
-        memos = (_root_factor, _gamma_term, _rho4, _row_plan, _gamma_root_table)
+        memos = (_root_factor, _gamma_term, _row_plan, _gamma_root_table)
         for memo in memos:
             memo.cache_clear()
         for datum in oracle_grid_instances():

@@ -193,18 +193,6 @@ class TestCSequenceConstruction:
         assert seq.levels == tuple(base + d for d in want)
         assert seq.values == tuple(c_value(*propagate(system, lv)) for lv in seq.levels)
 
-    def test_one_level_extension_steps_once(self, monkeypatch):
-        # the extension steps from the held level 2,000, not from the base
-        system = DirectSystem("group-sp", (0, 1, 0, 2))
-        seq = c_sequence(system, range(4, 2001))
-        calls = []
-        evaluate = limits._evaluate
-        monkeypatch.setattr(limits, "_evaluate", lambda *a: calls.append(a) or evaluate(*a))
-        longer = seq.extended([2001])
-        assert len(calls) == 1
-        assert longer.last() == (2001, seq.values[-1] * evaluate(*calls[0]))
-        assert longer.values[:-1] == seq.values
-
 
 class TestRankOneChain:
     def test_exact_values(self):
