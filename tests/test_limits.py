@@ -193,6 +193,20 @@ class TestCSequenceConstruction:
         assert seq.levels == tuple(base + d for d in want)
         assert seq.values == tuple(c_value(*propagate(system, lv)) for lv in seq.levels)
 
+    def test_one_level_extension_folds_from_the_base(self, monkeypatch):
+        # one fold: the extension reads the union from the base, one step a level
+        system = DirectSystem("group-sp", (0, 1, 0, 2))
+        base = system.base_level
+        seq = c_sequence(system, range(base, 2001))
+        calls = []
+        evaluate = limits._evaluate
+        monkeypatch.setattr(limits, "_evaluate", lambda *a: calls.append(a[1]) or evaluate(*a))
+        longer = seq.extended([2001])
+        assert calls == list(range(2001 - base))
+        _, forms = limits._chain_table(system)
+        assert longer.last() == (2001, seq.values[-1] * evaluate(forms, 2000 - base))
+        assert longer.values[:-1] == seq.values
+
 
 class TestRankOneChain:
     def test_exact_values(self):
