@@ -96,9 +96,9 @@ def c_factor_reference(params: CFactorParams) -> Fraction:
         ((1+x/rho)(1+y/rho))^(-mu) * prod_{j<mu} [(1+j/(2rho)) *
         (1+(mu+j)/(2rho))] / [(1+j/(x+rho)) (1+j/(y+rho))].
 
-    It equals the telescoped form prod_{j<2mu}(2rho+j) / (4^mu prod_{j<mu}
-    (rho+x+j)(rho+y+j)), whose integer terms ``c_value`` multiplies
-    (``_root_terms``)."""
+    By Legendre duplication (2 rho)_{2 mu} = 4^mu (rho)_mu (rho + 1/2)_mu
+    it equals (rho)_mu (rho + 1/2)_mu / ((rho + x)_mu (rho + y)_mu), whose
+    four runs of integer terms ``c_value`` multiplies (``_root_terms``)."""
     mu, rho, x, y = params.mu_alpha, params.rho_alpha, params.x_alpha, params.y_alpha
     value = ((1 + x / rho) * (1 + y / rho)) ** -mu
     for j in range(mu):
@@ -140,27 +140,23 @@ def _reject(datum: SpaceDatum, w):
 _FACTOR_CACHE_SIZE = 4096
 
 
-def _root_terms(mu_a: int, rho8: int, x8: int, y8: int) -> tuple[list[int], list[int]]:
-    """The integer terms of one root factor, from mu_alpha and 8 (rho_alpha,
-    x_alpha, y_alpha), which are integers on every catalog root: the factor
-    is prod(num) / prod(den) in the telescoped form of
-    ``c_factor_reference``, with 2 rho + j for j < 2 mu over rho + x + j and
-    rho + y + j for j < mu, each scaled by 8, and the constant 4^mu in the
-    denominator.  A run of pair roots (``_rows``) has the terms of one root:
-    its product reduces to the 2 mu terms of (rho)_mu / (rho + y)_mu that
-    survive the run."""
-    rx, ry = rho8 + x8, rho8 + y8
-    return ([*range(2 * rho8, 2 * rho8 + 16 * mu_a, 8)],
-            [*range(rx, rx + 8 * mu_a, 8), *range(ry, ry + 8 * mu_a, 8), 4 ** mu_a])
+def _root_terms(mu_a: int, rho8: int, x8: int, y8: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """One root factor, from mu_alpha and 8 (rho_alpha, x_alpha, y_alpha),
+    which are integers on every catalog root: the starts of the four runs
+    of mu_alpha integer terms, each stepping by 8, of (rho)_mu (rho + 1/2)_mu
+    over (rho + x)_mu (rho + y)_mu in ``c_factor_reference``, scaled by 8.
+    A run of pair roots (``_rows``) has the runs of one root."""
+    return (rho8, rho8 + 4), (rho8 + x8, rho8 + y8)
 
 
 @functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
 def _root_factor(mu_a: int, rho8: int, x8: int, y8: int) -> tuple[int, int]:
-    """``_root_terms`` multiplied out and reduced by one gcd per cache miss,
-    which cancels the 2 mu_alpha factors of 8 that the products carry, so
-    every lookup hands the caller a small coprime pair."""
-    num, den = _root_terms(mu_a, rho8, x8, y8)
-    fn, fd = math.prod(num), math.prod(den)
+    """The runs of ``_root_terms`` multiplied out and reduced by one gcd per
+    cache miss, so every lookup hands the caller a small coprime pair."""
+    (a, b), (c, d) = _root_terms(mu_a, rho8, x8, y8)
+    run = 8 * mu_a
+    fn = math.prod(range(a, a + run, 8)) * math.prod(range(b, b + run, 8))
+    fd = math.prod(range(c, c + run, 8)) * math.prod(range(d, d + run, 8))
     g = math.gcd(fn, fd)
     return fn // g, fd // g
 
@@ -253,8 +249,8 @@ def _rows(datum: SpaceDatum, coeffs: Sequence[int],
     the datum comes from ``_row_plan``.
 
     A run telescopes.  The pair roots have no half roots, so x = 1/2 and
-    y = m/2, and Legendre duplication (2 rho)_{2 mu} = 4^mu (rho)_mu
-    (rho + 1/2)_mu makes a pair root's factor (rho)_mu / (rho + m/2)_mu.
+    y = m/2; with x = 1/2 the (rho + 1/2)_mu runs of ``_root_terms`` cancel,
+    and a pair root's factor is (rho)_mu / (rho + m/2)_mu.
     Along a run mu_alpha is fixed, and 4 rho steps by 4m per index
     (``_rho4``), so rho_alpha moves by m/2 from root to root and the run's
     product is (rho)_mu / (rho + L m/2)_mu at the run's smallest rho_alpha,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .cfunc import _product, _rows
+from .cfunc import _product, _root_terms, _rows
 from .rootdata import (
     FAMILIES,
     SpaceDatum,
@@ -80,7 +80,7 @@ class DirectSystem:
                 raise ValueError(f"family {self.family!r} grows in rank; fixed_p does not apply")
             if not self.base_coeffs:
                 raise ValueError("need at least one base coefficient")
-            _n_for_rank(fam, len(self.base_coeffs))  # validates the base rank exists
+            fam.n_for_rank(len(self.base_coeffs))  # validates the base rank exists
 
     @property
     def mode(self) -> str:
@@ -97,18 +97,10 @@ class DirectSystem:
         return not any(self.base_coeffs)
 
 
-def _n_for_rank(fam, rank: int) -> int:
-    """The n of rank ``rank``, inverting ``FamilyRow.rank_of``."""
-    n = rank + (fam.psi_label == "A")
-    if n < fam.min_n:
-        raise ValueError(f"family {fam.slug!r} has no member of rank {rank}")
-    return n
-
-
 def datum_at_level(system: DirectSystem, level: int) -> SpaceDatum:
     if system.mode == MODE_FINITE:
         return build_space(system.family, p=system.fixed_p, q=level)
-    return build_space(system.family, n=_n_for_rank(FAMILIES[system.family], level))
+    return build_space(system.family, n=FAMILIES[system.family].n_for_rank(level))
 
 
 def propagate(system: DirectSystem, level: int) -> tuple[SpaceDatum, Weight]:
@@ -241,12 +233,12 @@ def _chain_table(system: DirectSystem) -> tuple[Fraction, tuple[int, int, tuple,
     catalog chain has one, as ``FamilyRow.mults_of`` gives every
     infinite-rank family constant ones.
 
-    Either way a key (mu, r, x, y) of the first reading, with steps
-    (0, dr, dx, dy) to the second, checked at the third, is a factor of
-    ``cfunc._root_terms`` with the forms (2dr, 2r + 8j) for j < 2 mu over
-    (dr + dx, r + x + 8j) and (dr + dy, r + y + 8j) for j < mu.  Each form
-    with a nonzero slope is divided by its content and counted, and equal
-    forms cancel.  The rest, 4^mu and the constant forms included, is
+    Either way a key of the first reading, with fixed mu and steps to the
+    second, checked at the third, is a factor whose runs of mu terms
+    (``cfunc._root_terms``) start at s1 at the first reading and at s2 at
+    the second, so each run is the mu forms (s2 - s1) t + s1 + 8j.  Each
+    form with a nonzero slope is divided by its content and counted, and
+    equal forms cancel.  The rest, the constant forms included, is
     C_n / C_d = F(0) prod d / prod b over the forms left, with F(0) the
     table's value at t = 0: the product of the first reading's rows.
     Raises ArithmeticError if the factors change in number, a key is not
@@ -276,10 +268,11 @@ def _chain_table(system: DirectSystem) -> tuple[Fraction, tuple[int, int, tuple,
         steps = [b - a for a, b in zip(first, second)]
         if steps[0] or steps != [c - b for b, c in zip(second, third)]:
             raise ArithmeticError("internal error: a root factor is not affine in the level")
-        (mu, r, x, y), (_, dr, dx, dy) = first, steps
-        _count_forms(num, 2 * dr, 2 * r, 2 * mu)
-        _count_forms(den, dr + dx, r + x, mu)
-        _count_forms(den, dr + dy, r + y, mu)
+        if not any(steps):  # only constant forms, which F(0) holds
+            continue
+        for forms, starts1, starts2 in zip((num, den), _root_terms(*first), _root_terms(*second)):
+            for s1, s2 in zip(starts1, starts2):
+                _count_forms(forms, s2 - s1, s1, first[0])
     num, den = (tuple(sorted((a - b).elements())) for a, b in ((num, den), (den, num)))
     const = at_zero * Fraction(math.prod(d for _, d in den), math.prod(b for _, b in num))
     return value, (const.numerator, const.denominator, num, den)

@@ -238,6 +238,13 @@ class FamilyRow:
         on type A and n otherwise."""
         return args[0] - (self.psi_label == "A")
 
+    def n_for_rank(self, rank: int) -> int:
+        """The n of rank ``rank``, inverting ``rank_of``."""
+        n = rank + (self.psi_label == "A")
+        if n < self.min_n:
+            raise ValueError(f"family {self.slug!r} has no member of rank {rank}")
+        return n
+
     def mults_of(self, *args: int) -> tuple[int, int, int]:
         """(mult_middle, mult_alpha1, mult_half) at parameters (p, q) or (n,)."""
         if self.d is None:

@@ -112,13 +112,13 @@ def memo_free_c_gamma(datum: SpaceDatum, lam) -> float:
 
 def chain_table_by_terms(system: limits.DirectSystem) -> tuple:
     """``limits._chain_table`` read term by term, with no memo: every factor
-    key of the next three levels is expanded into its integer terms
-    (``_root_terms``), each term is checked affine and read as the form
-    (t2 - t1) t + t1, and every form is divided by its content, which goes
-    into C_n or C_d, a constant form wholly (``_primitive_forms``).  Equal
-    forms cancel.  Slow (about p^6 on a Grassmannian chain of width p), but
-    it shares neither the table's key check nor its constant from the value
-    at t = 0."""
+    key of the next three levels is expanded into its integer terms, the
+    mu_alpha terms of each run of ``_root_terms``, each term is checked
+    affine and read as the form (t2 - t1) t + t1, and every form is divided
+    by its content, which goes into C_n or C_d, a constant form wholly
+    (``_primitive_forms``).  Equal forms cancel.  Slow (about p^6 on a
+    Grassmannian chain of width p), but it shares neither the table's key
+    check nor its constant from the value at t = 0."""
     infinite = system.mode == limits.MODE_INFINITE
     base = system.base_level
     readings, mults, lo = [], None, 0
@@ -131,8 +131,9 @@ def chain_table_by_terms(system: limits.DirectSystem) -> tuple:
             raise ArithmeticError(
                 f"internal error: level {level} does not extend the level below it")
         else:
-            readings.append([_root_terms(*key) for row in _rows(datum, coeffs, lo)
-                             for key in row])
+            readings.append([[[t for s in starts for t in range(s, s + 8 * key[0], 8)]
+                              for starts in _root_terms(*key)]
+                             for row in _rows(datum, coeffs, lo) for key in row])
         mults, lo = limits._mults(datum), len(coeffs) if infinite else 0
     if len({len(reading) for reading in readings}) != 1:
         raise ArithmeticError("internal error: the root set moves with the level")

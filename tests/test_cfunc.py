@@ -586,21 +586,25 @@ class TestRunTelescoping:
     the identity behind it, the product it gives, and the factor count."""
 
     def test_pair_root_factor_is_a_pochhammer_ratio(self):
-        """With x = 1/2 and y = m/2, as on every pair orbit, the 4 mu + 1
-        terms of ``_root_terms`` reduce to (rho)_mu / (rho + m/2)_mu, so a
-        run of L pair roots, rho moving by m/2 per root, telescopes to one
-        such factor of multiplicity L m at the run's smallest rho."""
+        """With x = 1/2 and y = m/2, as on every pair orbit, the four runs of
+        mu terms of ``_root_terms`` reduce to (rho)_mu / (rho + m/2)_mu, as
+        the second numerator run is the first denominator run, so a run of
+        L pair roots, rho moving by m/2 per root, telescopes to one such
+        factor of multiplicity L m at the run's smallest rho."""
         data = [build_space(row.slug, p=1, q=2) if row.param_kind == "pq"
                 else build_space(row.slug, n=max(row.min_n, 2)) for row in FAMILIES.values()]
         pair_mults = sorted({d.mults_for(ROOT_PATTERNS[d.psi.label].pair_orbit)[0]
                              for d in data})
         assert pair_mults == [1, 2, 4]
         for m, mu, rho8 in itertools.product(pair_mults, range(6), range(1, 41)):
-            num, den = _root_terms(mu, rho8, 4, 4 * m)
-            assert len(num) + len(den) == 4 * mu + 1
+            num, den = ([range(s, s + 8 * mu, 8) for s in starts]
+                        for starts in _root_terms(mu, rho8, 4, 4 * m))
+            assert [len(run) for run in num + den] == [mu] * 4
+            assert num[1] == den[0]
             r = Fraction(rho8, 8)
             want = pochhammer(r, mu) / pochhammer(r + Fraction(m, 2), mu)
-            assert Fraction(math.prod(num), math.prod(den)) == want, (m, mu, rho8)
+            assert Fraction(math.prod(map(math.prod, num)),
+                            math.prod(map(math.prod, den))) == want, (m, mu, rho8)
             for length in range(1, 5):  # the run [0, length) below a row
                 run = math.prod((pochhammer(r + Fraction(m * i, 2), mu) for i in range(length)),
                                 start=Fraction(1))

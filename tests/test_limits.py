@@ -94,11 +94,11 @@ class TestDirectSystem:
         for rank in range(9):
             members = [n for n in range(fam.min_n, 11) if fam.rank_of(n) == rank]
             if members:
-                assert [limits._n_for_rank(fam, rank)] == members
+                assert [fam.n_for_rank(rank)] == members
                 assert datum_at_level(DirectSystem(family, (1,) * rank), rank).rank == rank
             else:
                 with pytest.raises(ValueError, match=f"has no member of rank {rank}$"):
-                    limits._n_for_rank(fam, rank)
+                    fam.n_for_rank(rank)
 
     def test_modes_and_base_level(self):
         finite = DirectSystem("grass-quaternion", (1, 0), fixed_p=2)
