@@ -21,6 +21,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, compress, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .cfunc import _product, _root_terms, _rows
@@ -144,30 +145,39 @@ class CSequence:
         return CSequence(self.system, levels, tuple(_values_at(self.system, levels)))
 
 
-def _values_at(system: DirectSystem, levels: Iterable[int]) -> Iterator[Fraction]:
-    """Exact values at ascending levels, yielded one at a time, from the
-    chain's ``_chain_table``.
+def _values_at(system: DirectSystem, levels: Sequence[int]) -> Iterator[Fraction]:
+    """Exact values at ascending levels, one at a time, from the chain's
+    ``_chain_table``.
 
     The base level's value is the table's whole product.  Above it, a
     finite-rank value c(q) is the table's rational function at t = q - p - 1,
     and an infinite-rank value is the one below it times the step ratio
-    c(n+1)/c(n), the table's rational function at t = n - b, so a level
-    costs a fixed number of small linear forms, not a row of rank n.  Since
+    c(n+1)/c(n), t = n - b, folded from the base.  The table's forms have
+    positive slopes, so a form's values at t < T are ``range(b, b + a T, a)``:
+    a level costs maps over ranges, one small Fraction and one multiply, whose
+    two gcds pair a small term with a large one, not a row of rank n.  Since
     Fraction is canonical, every value is the one ``c_value`` gives.
     """
     value, forms = _chain_table(system)
-    base = top = system.base_level
-    finite = system.mode == MODE_FINITE
-    for level in levels:
-        if level < base:
-            raise ValueError(f"level {level} is below the base level {base}")
-        if finite:
-            yield value if level == base else _evaluate(forms, level - base - 1)
-            continue
-        for t in range(top - base, level - base):
-            value *= _evaluate(forms, t)
-        top = level
-        yield value
+    base = system.base_level
+    if levels[0] < base:
+        raise ValueError(f"level {levels[0]} is below the base level {base}")
+    if system.mode == MODE_FINITE:
+        return (value if level == base else _evaluate(forms, level - base - 1)
+                for level in levels)
+    const_num, const_den, num, den = forms
+    steps = levels[-1] - base
+    values = accumulate(map(Fraction, _products(const_num, num, steps),
+                            _products(const_den, den, steps)), operator.mul, initial=value)
+    return compress(values, map(set(levels).__contains__, range(base, base + steps + 1)))
+
+
+def _products(const: int, forms: tuple, steps: int) -> Iterator[int]:
+    """const * prod(a t + b) over the forms, for t = 0 .. steps - 1."""
+    products = repeat(const, steps)
+    for a, b in forms:
+        products = map(operator.mul, products, range(b, b + a * steps, a))
+    return products
 
 
 def _evaluate(forms: tuple[int, int, tuple, tuple], t: int) -> Fraction:
@@ -405,17 +415,17 @@ def classify(seq: CSequence) -> ConvergenceReport:
     carries the step-ratio certificate (``_decay_certificate``).  The zero
     weight gives 1 at every level on either kind.  No verdict waits for
     more levels: the table decides at any length.  Raises ValueError if a
-    value exceeds the one at the level below, and ArithmeticError if a
-    finite-rank limit does not lie in (0, last value].
+    value exceeds the one at the level below (one C-level ``operator.gt`` pass
+    over the neighbours), and ArithmeticError if a finite-rank limit does not
+    lie in (0, last value].
     """
     if not seq.levels:
         raise ValueError("empty sequence")
-    for earlier, later in zip(seq.values, seq.values[1:]):
-        if later > earlier:
-            raise ValueError(
-                "overlap sequence increased between levels; this cannot happen "
-                "for a propagated dominant weight and indicates an upstream bug"
-            )
+    if any(map(operator.gt, seq.values[1:], seq.values)):
+        raise ValueError(
+            "overlap sequence increased between levels; this cannot happen "
+            "for a propagated dominant weight and indicates an upstream bug"
+        )
     system = seq.system
     forms = _chain_table(system)[1]
     last_level, last_value = seq.last()

@@ -1,6 +1,7 @@
 """Shared test fixtures: canonical small instances of every catalog family,
 a closed-form overlap oracle for the group spaces, the log-Gamma oracle's
-sum written out, and a chain table read term by term."""
+sum written out, a chain table read term by term, and the infinite-rank
+fold one step at a time."""
 
 import math
 from collections import Counter
@@ -152,6 +153,22 @@ def chain_table_by_terms(system: limits.DirectSystem) -> tuple:
     return value, (const_num // g, const_den // g,
                    tuple(sorted((num - common).elements())),
                    tuple(sorted((den - common).elements())))
+
+
+def fold_by_steps(system: limits.DirectSystem, levels) -> tuple:
+    """An infinite-rank chain's values at ascending levels, folded one step
+    ratio at a time: from c(b) at the base b, each level multiplies in
+    ``limits._evaluate`` of the chain table at t = n - b, one Fraction per
+    step.  The reference for ``limits._values_at``, which folds over ranges."""
+    value, forms = limits._chain_table(system)
+    base = top = system.base_level
+    out = []
+    for level in levels:
+        for t in range(top - base, level - base):
+            value *= limits._evaluate(forms, t)
+        top = level
+        out.append(value)
+    return tuple(out)
 
 
 def _primitive_forms(forms) -> tuple[int, Counter]:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import chain_table_by_terms, inverse_weyl_dimension, jack_at_ones
+from helpers import chain_table_by_terms, fold_by_steps, inverse_weyl_dimension, jack_at_ones
 
 from sphelim import cfunc, limits, rootdata
 from sphelim.cfunc import CFactorParams, _root_factor, c_value
@@ -193,19 +193,65 @@ class TestCSequenceConstruction:
         assert seq.levels == tuple(base + d for d in want)
         assert seq.values == tuple(c_value(*propagate(system, lv)) for lv in seq.levels)
 
-    def test_one_level_extension_folds_from_the_base(self, monkeypatch):
-        # one fold: the extension reads the union from the base, one step a level
+    def test_one_level_extension_folds_from_the_base(self):
+        # one fold: the extension reads the union from the base, so the held
+        # values stay and the new top is the held top times one step ratio
         system = DirectSystem("group-sp", (0, 1, 0, 2))
         base = system.base_level
         seq = c_sequence(system, range(base, 2001))
-        calls = []
-        evaluate = limits._evaluate
-        monkeypatch.setattr(limits, "_evaluate", lambda *a: calls.append(a[1]) or evaluate(*a))
         longer = seq.extended([2001])
-        assert calls == list(range(2001 - base))
-        _, forms = limits._chain_table(system)
-        assert longer.last() == (2001, seq.values[-1] * evaluate(forms, 2000 - base))
         assert longer.values[:-1] == seq.values
+        _, forms = limits._chain_table(system)
+        assert longer.last() == (2001, seq.values[-1] * limits._evaluate(forms, 2000 - base))
+        assert longer.values == fold_by_steps(system, longer.levels)
+
+
+def _deep_chains() -> list[DirectSystem]:
+    """The benchmark's deep chains: each infinite-rank family's first three
+    fundamental weights, padded to its smallest rank."""
+    chains = []
+    for family in INFINITE_FAMILIES:
+        fam = FAMILIES[family]
+        base = min(fam.rank_of(n) for n in (fam.min_n, fam.min_n + 1))
+        for j in range(3):
+            coeffs = [0] * max(base, j + 1)
+            coeffs[j] = 1
+            chains.append(DirectSystem(family, tuple(coeffs)))
+    return chains
+
+
+DEEP_CHAINS = _deep_chains()
+
+
+class TestFoldBySteps:
+    """``c_sequence`` folds the step ratios over ranges; it equals the fold
+    that evaluates the table once a step (``helpers.fold_by_steps``)."""
+
+    @pytest.mark.parametrize("system", DEEP_CHAINS,
+                             ids=lambda s: f"{s.family}-{''.join(map(str, s.base_coeffs))}")
+    def test_deep_chains_to_level_54(self, system):
+        levels = range(system.base_level, 55)
+        assert c_sequence(system, levels).values == fold_by_steps(system, levels)
+
+    def test_deep_chains_include_constant_ratios(self):
+        # a table with no forms has a constant step ratio: its products are
+        # the bare repeats of C_n and C_d
+        constant = {(s.family, s.base_coeffs) for s in DEEP_CHAINS
+                    if not any(limits._chain_table(s)[1][2:])}
+        assert constant == {("group-spin-odd", (1,)), ("group-spin-even", (1, 0, 0, 0)),
+                            ("group-spin-even", (0, 1, 0, 0))}
+
+    def test_sparse_levels(self):
+        system = DirectSystem("group-sp", (0, 1, 0, 2))
+        levels = (4, 5, 97, 1000, 3000)
+        assert system.base_level == 4
+        assert c_sequence(system, levels).values == fold_by_steps(system, levels)
+
+    def test_one_level_at_the_base(self):
+        system = DirectSystem("so-over-u-even", (1, 2, 1))
+        base = system.base_level
+        want = fold_by_steps(system, [base])
+        assert c_sequence(system, [base]).values == want == (c_value(*propagate(system, base)),)
 
 
 class TestRankOneChain:
