@@ -154,11 +154,26 @@ def _root_factor(mu_a: int, rho8: int, x8: int, y8: int) -> tuple[int, int]:
     """The runs of ``_root_terms`` multiplied out and reduced by one gcd per
     cache miss, so every lookup hands the caller a small coprime pair."""
     (a, b), (c, d) = _root_terms(mu_a, rho8, x8, y8)
-    run = 8 * mu_a
-    fn = math.prod(range(a, a + run, 8)) * math.prod(range(b, b + run, 8))
-    fd = math.prod(range(c, c + run, 8)) * math.prod(range(d, d + run, 8))
+    fn = _run_product(a, mu_a) * _run_product(b, mu_a)
+    fd = _run_product(c, mu_a) * _run_product(d, mu_a)
     g = math.gcd(fn, fd)
     return fn // g, fd // g
+
+
+# Terms of a run that ``_run_product`` multiplies in one ``math.prod``.  Every
+# run of a catalog weight with coefficients up to a few dozen is shorter.
+_SPLIT_TERMS = 64
+
+
+def _run_product(start: int, count: int) -> int:
+    """The product of the run start, start + 8, ..., of count terms: one
+    ``math.prod`` up to ``_SPLIT_TERMS`` terms, and above it the product of
+    its two halves, so a long run multiplies balanced big integers, not one
+    growing product by one small term at a time (quadratic in the length)."""
+    if count <= _SPLIT_TERMS:
+        return math.prod(range(start, start + 8 * count, 8))
+    half = count // 2
+    return _run_product(start, half) * _run_product(start + 8 * half, count - half)
 
 
 def c_value(datum: SpaceDatum, mu) -> Fraction:

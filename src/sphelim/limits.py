@@ -243,12 +243,18 @@ def _chain_table(system: DirectSystem) -> tuple[Fraction, tuple[int, int, tuple,
     catalog chain has one, as ``FamilyRow.mults_of`` gives every
     infinite-rank family constant ones.
 
-    Either way a key of the first reading, with fixed mu and steps to the
-    second, checked at the third, is a factor whose runs of mu terms
-    (``cfunc._root_terms``) start at s1 at the first reading and at s2 at
-    the second, so each run is the mu forms (s2 - s1) t + s1 + 8j.  Each
-    form with a nonzero slope is divided by its content and counted, and
-    equal forms cancel.  The rest, the constant forms included, is
+    Either way a key equal at the three readings has only constant forms.
+    A key that moves must keep mu, and its third reading must be twice the
+    second less the first.  Its runs of mu terms (``cfunc._root_terms``)
+    start at s1 at the first reading and at s2 at the second, so each run
+    is the mu forms (s2 - s1) t + s1 + 8j.  A numerator run equal to a
+    denominator run at both readings cancels before it is expanded: on a
+    pair root x = 1/2, so its (rho + 1/2) run is its (rho + x) run, and a
+    pair key stands for two runs.  The runs left are kept per key, and
+    each of their forms with a nonzero slope is divided by its content and
+    counted as it is generated (``_forms``), so a table holds its keys'
+    runs and its distinct forms, not every term; equal forms cancel.  The
+    rest, the constant forms included, is
     C_n / C_d = F(0) prod d / prod b over the forms left, with F(0) the
     table's value at t = 0: the product of the first reading's rows.
     Raises ArithmeticError if the factors change in number, a key is not
@@ -273,31 +279,43 @@ def _chain_table(system: DirectSystem) -> tuple[Fraction, tuple[int, int, tuple,
         mults, lo = _mults(datum), len(coeffs) if infinite else 0
     if len({len(reading) for reading in readings}) != 1:
         raise ArithmeticError("internal error: the root set moves with the level")
-    num, den = Counter(), Counter()
+    num_runs, den_runs = [], []
     for first, second, third in zip(*readings):
-        steps = [b - a for a, b in zip(first, second)]
-        if steps[0] or steps != [c - b for b, c in zip(second, third)]:
-            raise ArithmeticError("internal error: a root factor is not affine in the level")
-        if not any(steps):  # only constant forms, which F(0) holds
+        if first == second == third:  # only constant forms, which F(0) holds
             continue
-        for forms, starts1, starts2 in zip((num, den), _root_terms(*first), _root_terms(*second)):
-            for s1, s2 in zip(starts1, starts2):
-                _count_forms(forms, s2 - s1, s1, first[0])
+        mu, rho1, x1, y1 = first
+        _, rho2, x2, y2 = second
+        if second[0] != mu or third != (mu, 2 * rho2 - rho1, 2 * x2 - x1, 2 * y2 - y1):
+            raise ArithmeticError("internal error: a root factor is not affine in the level")
+        (num1, den1), (num2, den2) = _root_terms(*first), _root_terms(*second)
+        # intercepts are positive (``cfunc._row_plan`` checks rho), so a form
+        # turns nonpositive at some t >= 0 only if its slope is negative
+        if min(map(operator.sub, num2 + den2, num1 + den1)) < 0:
+            raise ArithmeticError("internal error: a linear form of the table decreases")
+        num, den = [*zip(num1, num2)], [*zip(den1, den2)]
+        for run in zip(num1, num2):  # a run in both cancels before it is expanded
+            if run in den:
+                num.remove(run)
+                den.remove(run)
+        num_runs.append((mu, num))
+        den_runs.append((mu, den))
+    # counted as they are generated, so only distinct forms are held
+    num, den = Counter(_forms(num_runs)), Counter(_forms(den_runs))
     num, den = (tuple(sorted((a - b).elements())) for a, b in ((num, den), (den, num)))
     const = at_zero * Fraction(math.prod(d for _, d in den), math.prod(b for _, b in num))
     return value, (const.numerator, const.denominator, num, den)
 
 
-def _count_forms(forms: Counter, slope: int, start: int, count: int) -> None:
-    """Count slope t + start + 8j, j < count, over its content, if slope
-    != 0.  Intercepts are positive (``cfunc._row_plan`` checks rho), so a
-    form turns nonpositive at some t >= 0 only if its slope is negative."""
-    if slope < 0:
-        raise ArithmeticError("internal error: a linear form of the table decreases")
-    if slope:
-        for b in range(start, start + 8 * count, 8):
-            g = math.gcd(slope, b)
-            forms[slope // g, b // g] += 1
+def _forms(runs: list[tuple[int, list[tuple[int, int]]]]) -> Iterator[tuple[int, int]]:
+    """The forms (s2 - s1) t + s1 + 8j, j < mu, with a nonzero slope, of
+    each run (s1, s2) of each key's (mu, runs), divided by their content."""
+    for mu, key_runs in runs:
+        for s1, s2 in key_runs:
+            slope = s2 - s1
+            if slope:
+                for b in range(s1, s1 + 8 * mu, 8):
+                    g = math.gcd(slope, b)
+                    yield slope // g, b // g
 
 
 def c_sequence(system: DirectSystem, levels: Sequence[int]) -> CSequence:
@@ -415,13 +433,12 @@ def classify(seq: CSequence) -> ConvergenceReport:
     carries the step-ratio certificate (``_decay_certificate``).  The zero
     weight gives 1 at every level on either kind.  No verdict waits for
     more levels: the table decides at any length.  Raises ValueError if a
-    value exceeds the one at the level below (one C-level ``operator.gt`` pass
-    over the neighbours), and ArithmeticError if a finite-rank limit does not
-    lie in (0, last value].
+    value exceeds the one at the level below (``_increases``), and
+    ArithmeticError if a finite-rank limit does not lie in (0, last value].
     """
     if not seq.levels:
         raise ValueError("empty sequence")
-    if any(map(operator.gt, seq.values[1:], seq.values)):
+    if _increases(seq.values):
         raise ValueError(
             "overlap sequence increased between levels; this cannot happen "
             "for a propagated dominant weight and indicates an upstream bug"
@@ -446,6 +463,17 @@ def classify(seq: CSequence) -> ConvergenceReport:
         return ConvergenceReport(VERDICT_POSITIVE, float(limit), evidence)
     return ConvergenceReport(VERDICT_ZERO, 0.0, evidence | {
         "certificate": _decay_certificate(system.base_level, forms)})
+
+
+def _increases(values: Sequence[Fraction]) -> bool:
+    """Whether some value exceeds the one before it, in one C-level pass:
+    v[i+1] > v[i] as n[i+1] d[i] > n[i] d[i+1] over the numerators and the
+    (positive) denominators, the cross-products ``Fraction.__gt__`` compares,
+    without a Python-level comparison per pair."""
+    nums = tuple(map(operator.attrgetter("numerator"), values))
+    dens = tuple(map(operator.attrgetter("denominator"), values))
+    return any(map(operator.gt, map(operator.mul, nums[1:], dens),
+                   map(operator.mul, nums, dens[1:])))
 
 
 def classify_scan(system: DirectSystem, max_level: int | None = None,

@@ -185,6 +185,20 @@ class TestRootFactorMemo:
                     cases += 1
         assert cases == 7 * 24 * 6 * 7
 
+    @pytest.mark.parametrize("mu", [cfunc._SPLIT_TERMS - 1, cfunc._SPLIT_TERMS,
+                                    cfunc._SPLIT_TERMS + 1, 2000])
+    def test_long_runs_split_to_the_sequential_product(self, mu):
+        """A run above the cutoff is multiplied in halves; the product, and
+        the memo's reduced pair, are those of one sequential product."""
+        for start in (1, 4, 13, 8 * mu + 3):
+            assert cfunc._run_product(start, mu) == math.prod(range(start, start + 8 * mu, 8))
+        key = (mu, 10, 6, 14)  # rho = 5/4, x = 3/4, y = 7/4
+        (a, b), (c, d) = _root_terms(*key)
+        fn, fd = (math.prod(range(s, s + 8 * mu, 8)) * math.prod(range(t, t + 8 * mu, 8))
+                  for s, t in ((a, b), (c, d)))
+        g = math.gcd(fn, fd)
+        assert _root_factor.__wrapped__(*key) == (fn // g, fd // g)
+
     def test_memos_stay_bounded_over_the_criterion_3_sweep(self):
         """Both per-root memos, and the per-datum memos of the row plan and
         of the oracle's root table, hold the whole criterion-3

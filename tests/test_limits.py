@@ -5,12 +5,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from helpers import chain_table_by_terms, fold_by_steps, inverse_weyl_dimension, jack_at_ones
 
 from sphelim import cfunc, limits, rootdata
@@ -1028,6 +1031,26 @@ class TestFiniteChains:
             classify_scan(DirectSystem("rank1-real", (1,)), max_level=150, batch=batch)
 
 
+TINY = Fraction(1, 10 ** 60)
+
+
+@st.composite
+def _neighbours(draw):
+    """Values as a chain could hold them, integers and Fractions, small or
+    with 500-bit numerators, where each value after the first is a new draw
+    or the one before it, kept, or moved up or down by 1/10^60."""
+    values = draw(st.lists(st.one_of(
+        st.integers(0, 3),
+        st.fractions(0, 3, max_denominator=12),
+        st.builds(Fraction, st.integers(2 ** 499, 2 ** 500), st.integers(1, 2 ** 500)),
+    ), min_size=1, max_size=8))
+    out = values[:1]
+    for value in values[1:]:
+        step = draw(st.sampled_from((None, 0, TINY, -TINY)))
+        out.append(value if step is None else out[-1] + step)
+    return out
+
+
 class TestClassifierEdges:
     def test_trivial_weight_is_constant_one(self):
         for system in (DirectSystem("grass-real", (0, 0), fixed_p=2),
@@ -1073,6 +1096,26 @@ class TestClassifierEdges:
         with pytest.raises(ValueError, match="increased"):
             classify_scan(DirectSystem("grass-real", (1, 1, 1), fixed_p=3), max_level=400)
         assert seen[-1] == 24
+
+    @settings(max_examples=300, deadline=None)
+    @given(_neighbours())
+    @example([Fraction(1, 3), Fraction(1, 3)])
+    @example([1, Fraction(1, 2), Fraction(1, 2), 0])
+    @example([Fraction(1, 2), 1])
+    @example([Fraction(2 ** 500 - 1, 3 ** 300), Fraction(2 ** 500 - 1, 3 ** 300) + TINY])
+    @example([Fraction(7, 3) - TINY, Fraction(7, 3), 2])
+    def test_increase_guard_is_the_fraction_comparison(self, values):
+        # the guard compares integer cross-products; it must refuse exactly
+        # the sequences that a Fraction comparison of neighbours refuses
+        increased = any(map(operator.gt, values[1:], values))
+        assert limits._increases(values) == increased
+        seq = CSequence(DirectSystem("group-su", (1,)), tuple(range(1, len(values) + 1)),
+                        tuple(values))
+        if increased:
+            with pytest.raises(ValueError, match="upstream bug"):
+                classify(seq)
+        else:
+            assert classify(seq).verdict == VERDICT_ZERO
 
     @pytest.mark.parametrize("system", [DirectSystem("grass-real", (1, 1, 1), fixed_p=3),
                                         DirectSystem("group-sp", (1,))],
