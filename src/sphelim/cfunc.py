@@ -15,7 +15,6 @@ log-Gamma evaluator ``c_gamma`` is the independent floating-point oracle.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -37,6 +36,7 @@ from .rootdata import (
     lambda_alpha,
     pad_xi_coeffs,
     rho,
+    simple_roots,
     weight_from_xi,
 )
 
@@ -107,24 +107,6 @@ def c_factor_reference(params: CFactorParams) -> Fraction:
     return value
 
 
-def _integer_f_coeffs(datum: SpaceDatum, w) -> list[int] | None:
-    """Integer f-coefficients of a lattice weight, or None if not integral.
-
-    Type-A vectors are shifted to the zero-first-coefficient representative
-    first; lattice membership makes the shifted coordinates integers.
-    """
-    vec = _as_f_vector(datum, w)
-    if datum.psi.label == "A":
-        base = vec[0]
-        vec = [c - base for c in vec]
-    out = []
-    for c in vec:
-        if c.denominator != 1:
-            return None
-        out.append(c.numerator)
-    return out
-
-
 def _reject(datum: SpaceDatum, w):
     root = _first_integrality_violation(datum, w)
     assert root is not None
@@ -179,22 +161,33 @@ def _run_product(start: int, count: int) -> int:
 def c_value(datum: SpaceDatum, mu) -> Fraction:
     """The normalized overlap constant at dominant weight mu, exactly.
 
-    ``mu`` may be a Weight or a sequence of fundamental-weight coefficients.
-    Rejects weights outside the spherical dominant lattice, naming the
-    lexicographically first pattern root that fails integrality.  Pattern
-    roots of total multiplicity zero contribute nothing.  Computed by
+    ``mu`` may be a Weight or a sequence of fundamental-weight coefficients
+    (``_f_ints``).  Rejects weights outside the spherical dominant lattice,
+    naming the lexicographically first pattern root that fails integrality.
+    Pattern roots of total multiplicity zero contribute nothing.  Computed by
     ``_product`` over ``_rows`` at lo = 0, reduced after each f-index row,
     so its pair is already in lowest terms.  A row costs one factor per run
     of equal f-coefficients below it (``_rows``), so a weight with a few
     distinct coefficients costs O(rank) factors, not one per root.
     """
+    return Fraction(*_product(_rows(datum, _f_ints(datum, mu), 0)))
+
+
+def _f_ints(datum: SpaceDatum, mu) -> list[int]:
+    """The integer f-coefficients of a weight argument of ``c_value`` and
+    ``c_oracle``, as ``_xi_f_ints`` gives them (on type A, the
+    representative with a zero first coefficient).  A Weight is read by its
+    pairings with the simple roots, which are its fundamental-weight
+    coefficients: it lies in the spherical dominant lattice iff they are
+    nonnegative integers, and is rejected like ``c_value`` otherwise.  Any
+    other sequence is read as those coefficients."""
     if isinstance(mu, Weight):
-        coeffs = _integer_f_coeffs(datum, mu)
-        if coeffs is None:
-            _reject(datum, mu.coeffs_f)
-    else:
-        coeffs = _xi_f_ints(datum.psi, mu)
-    return Fraction(*_product(_rows(datum, coeffs, 0)))
+        vec = _as_f_vector(datum, mu)
+        xi = [lambda_alpha(vec, root) for root in simple_roots(datum)]
+        if any(c.denominator != 1 or c < 0 for c in xi):
+            _reject(datum, vec)
+        mu = [c.numerator for c in xi]
+    return _xi_f_ints(datum.psi, mu)
 
 
 def _product(rows: Iterable[list[tuple[int, int, int, int]]]) -> tuple[int, int]:
@@ -363,17 +356,16 @@ def c_gamma(datum: SpaceDatum, lam) -> float:
     return _gamma_sum(datum, _quarter_ints(datum, lam))
 
 
-def _quarter_ints(datum: SpaceDatum, lam, shift4: tuple[int, ...] = ()) -> list[int]:
-    """Integer f-coefficients of 4 lambda = 4 lam + shift4 (no shift when
-    empty), for lam a Weight or f-coefficient vector of quarter-integers; a
-    coordinate that is not one is named by its value in lambda."""
+def _quarter_ints(datum: SpaceDatum, lam) -> list[int]:
+    """Integer f-coefficients of 4 lam, for lam a Weight or f-coefficient
+    vector of quarter-integers (``c_gamma``); a coordinate that is not one
+    is named by its value."""
     vec4 = []
-    for c, r in zip(_as_f_vector(datum, lam), shift4 or itertools.repeat(0)):
+    for c in _as_f_vector(datum, lam):
         d = c.denominator
         if 4 % d:
-            raise ValueError(f"lambda coordinate f{len(vec4) + 1} = {c + Fraction(r, 4)} "
-                             "is not a quarter-integer")
-        vec4.append(c.numerator * (4 // d) + r)
+            raise ValueError(f"lambda coordinate f{len(vec4) + 1} = {c} is not a quarter-integer")
+        vec4.append(c.numerator * (4 // d))
     return vec4
 
 
@@ -395,13 +387,10 @@ def _gamma_sum(datum: SpaceDatum, vec4: list[int]) -> float:
 
 def c_oracle(datum: SpaceDatum, mu) -> float:
     """``c_gamma`` at mu + rho: the floating-point value that
-    ``c_value(datum, mu)`` should match.  ``mu`` is a Weight or a sequence
-    of fundamental-weight coefficients, as for ``c_value``; either is
+    ``c_value(datum, mu)`` should match.  ``mu`` is any weight argument of
+    ``c_value``, read by the same ``_f_ints`` and rejected alike, and is
     shifted in integers, as 4 lambda = 4 mu + 4 rho."""
-    r4 = _rho4(datum)
-    if isinstance(mu, Weight):
-        return _gamma_sum(datum, _quarter_ints(datum, mu, r4))
-    return _gamma_sum(datum, [4 * a + r for a, r in zip(_xi_f_ints(datum.psi, mu), r4)])
+    return _gamma_sum(datum, [4 * a + r for a, r in zip(_f_ints(datum, mu), _rho4(datum))])
 
 
 def _check_propagates(datum_m: SpaceDatum, datum_n: SpaceDatum) -> None:

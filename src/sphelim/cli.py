@@ -75,11 +75,8 @@ def emit_json(obj, stream=None) -> None:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    items = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("expected a comma-separated integer list")
-    try:
-        return tuple(int(piece) for piece in items)
+    try:  # int() refuses an empty field, so "1,,2" and "1," are bad lists
+        return tuple(int(piece) for piece in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
 

@@ -376,13 +376,10 @@ def simple_roots(obj: Union[SpaceDatum, RootSystemType]) -> list[RestrictedRoot]
 
 
 def fundamental_weights(obj: Union[SpaceDatum, RootSystemType]) -> list[Weight]:
-    """Weights xi_1..xi_r dual to the simple roots: <xi_i, alpha_j>/<alpha_j,alpha_j> = delta_ij."""
-    psi = _psi_of(obj)
-    out = []
-    for j in range(psi.rank):
-        unit = tuple(1 if i == j else 0 for i in range(psi.rank))
-        out.append(Weight(tuple(Fraction(c) for c in _f_ints_from_xi(psi, unit)), unit))
-    return out
+    """Weights xi_1..xi_r dual to the simple roots: <xi_i, alpha_j>/<alpha_j,alpha_j> = delta_ij.
+    Each is ``weight_from_xi`` of a unit coefficient vector."""
+    rank = _psi_of(obj).rank
+    return [weight_from_xi(obj, tuple(int(i == j) for i in range(rank))) for j in range(rank)]
 
 
 def _f_ints_from_xi(psi: RootSystemType, coeffs: Sequence[int]) -> list[int]:
@@ -459,9 +456,8 @@ def pad_xi_coeffs(coeffs: Sequence[int], rank: int) -> tuple[int, ...]:
 
 
 def zero_weight(obj: Union[SpaceDatum, RootSystemType]) -> Weight:
-    psi = _psi_of(obj)
-    return Weight(tuple(Fraction(0) for _ in range(psi.ambient_dim)),
-                  tuple(0 for _ in range(psi.rank)))
+    """The zero weight: ``weight_from_xi`` of the zero coefficient vector."""
+    return weight_from_xi(obj, (0,) * _psi_of(obj).rank)
 
 
 def _as_f_vector(obj, lam) -> tuple[Fraction, ...]:

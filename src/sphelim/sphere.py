@@ -44,6 +44,14 @@ def _blocks(seed: int, count: int) -> Iterator[tuple[int, np.random.Generator]]:
         yield min(_BLOCK, count - done), np.random.default_rng(seq)
 
 
+def _as_seed(seed) -> int:
+    """``_as_int`` for a seed, which ``_blocks`` needs nonnegative."""
+    seed = _as_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def _validate_nk(n: int, k: int) -> tuple[int, int]:
     try:
         n, k = _as_ints((n, k))
@@ -178,7 +186,7 @@ def haar_rotation(dim: int, count: int, seed: int) -> np.ndarray:
     Reproducible: the i-th sample depends only on (seed, i), because draws
     happen in fixed blocks of 4096 with one child RNG stream per block.
     """
-    dim, count, seed = _as_int(dim, "dim"), _as_int(count, "count"), _as_int(seed, "seed")
+    dim, count, seed = _as_int(dim, "dim"), _as_int(count, "count"), _as_seed(seed)
     if dim < 1 or count < 0:
         raise ValueError("need dim >= 1 and count >= 0")
     return np.concatenate([np.empty((0, dim, dim))] +
@@ -280,7 +288,7 @@ def mc_functional_equation(n: int, k: int, x, y, samples: int, seed: int) -> MCR
     standard error.
     """
     n, k = _validate_nk(n, k)
-    samples, seed = _as_int(samples, "samples"), _as_int(seed, "seed")
+    samples, seed = _as_int(samples, "samples"), _as_seed(seed)
     if samples < 1:
         raise ValueError("need at least one sample")
     if samples == 1:

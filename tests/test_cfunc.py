@@ -6,7 +6,6 @@ import hashlib
 import itertools
 import math
 import random
-import re
 import time
 from fractions import Fraction
 
@@ -324,6 +323,10 @@ class TestCValue:
             with pytest.raises(ValueError) as exc:
                 c_value(datum, Weight(vec))
             assert f"pairing with {first!r} is {lambda_alpha(vec, first)}" in str(exc.value)
+            # c_oracle reads a Weight by the same reader, so rejects it alike
+            with pytest.raises(ValueError) as oracle_exc:
+                c_oracle(datum, Weight(vec))
+            assert str(oracle_exc.value) == str(exc.value)
         assert rejected > 0
 
     def test_rejects_negative_weight(self):
@@ -419,11 +422,12 @@ class TestCGammaOracle:
         lam[1] += Fraction(1, 3)
         with pytest.raises(ValueError, match=r"coordinate f2 = \S+ is not a quarter-integer"):
             c_gamma(datum, lam)
-        # c_oracle on such a Weight names the same coordinate of mu + rho
+        # c_oracle takes the weights c_value takes, so such a Weight is
+        # off the spherical dominant lattice and rejected as c_value does
         mu = list(weight_from_xi(datum, (1, 1)).coeffs_f)
         mu[1] += Fraction(1, 3)
-        message = f"coordinate f2 = {lam[1]} is not a quarter-integer"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match="not in the spherical dominant lattice: "
+                                             r"pairing with RestrictedRoot\(-f1\+f2, middle\)"):
             c_oracle(datum, Weight(tuple(mu)))
 
     @pytest.mark.parametrize("datum, lam, message", [

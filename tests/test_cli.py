@@ -123,6 +123,14 @@ class TestCEval:
         assert code == 1
         assert "not in the spherical dominant lattice" in json.loads(out)["error"]
 
+    def test_empty_field_in_a_weight_exits_two(self, capsys):
+        # "1,,0,1" is not read as the weight 1,0,1
+        with pytest.raises(SystemExit) as exc:
+            main(["c-eval", "--family", "group-sp", "--n", "3", "--mu", "1,,0,1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "error: argument --mu: bad integer list '1,,0,1'" in captured.err
+
     def test_bad_space_parameters_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "c-eval", "--family", "group-su",
                                "--p", "1", "--q", "2", "--mu", "1")
@@ -211,7 +219,8 @@ class TestLimitScan:
         assert code == 2 and out == ""
         assert err == f"error: {cfg}:4: expected key=value\n"
 
-    @pytest.mark.parametrize("line", ["coeffs = a,b", "coeffs = ,"])
+    @pytest.mark.parametrize("line", ["coeffs = a,b", "coeffs = ,", "coeffs = 1,,2",
+                                      "coeffs = 1,"])
     def test_config_bad_value(self, capsys, tmp_path, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"family = group-su\n{line}\n")
@@ -219,7 +228,8 @@ class TestLimitScan:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {cfg}:2: bad ")
 
-    @pytest.mark.parametrize("flags", [["--coeffs", "a,b"], ["--coeffs", ","]])
+    @pytest.mark.parametrize("flags", [["--coeffs", "a,b"], ["--coeffs", ","],
+                                       ["--coeffs", "1,,2"], ["--coeffs", "1,"]])
     def test_bad_flag_value(self, capsys, flags):
         with pytest.raises(SystemExit) as exc:
             main(["limit-scan", "--family", "group-su", *flags])
@@ -383,6 +393,10 @@ class TestMCCheck:
         (["--n", "3", "--k", "2", "--samples", "1"], "one sample has no standard error"),
         (["--n", "3", "--k", "2", "--max-z", "nan"], "max-z must be a finite number"),
         (["--n", "3", "--k", "2", "--max-z", "inf"], "max-z must be a finite number"),
+        (["--n", "3", "--k", "1", "--samples", "100", "--seed", "-1"],
+         "seed must be a nonnegative integer, got -1"),
+        (["--n", "3", "--k", "1", "--samples", "100", "--seed", "-1", "--haar-xy"],
+         "seed must be a nonnegative integer, got -1"),
     ])
     def test_bad_input_exits_two(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "mc-check", *argv)

@@ -185,6 +185,17 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: mc_functional_equation(3, 2, np.eye(4), np.eye(4), 100, -1),
+        lambda: haar_rotation(4, 1, -1),
+        lambda: haar_rotation(4, 0, np.int64(-1)),
+        lambda: haar_sample_stabilizer(3, 2, -1),
+    ], ids=["mc-seed", "haar-seed", "haar-no-samples", "stabilizer-seed"])
+    def test_negative_seed(self, call):
+        # named here, not left to NumPy's SeedSequence, whatever the count
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
+            call()
+
     def test_numpy_integers_are_integers(self):
         fn = ZonalFunction(np.int64(5), np.int32(3))
         assert (fn.n, fn.k) == (5, 3) and type(fn.n) is int and type(fn.k) is int
