@@ -15,8 +15,10 @@ log-Gamma evaluator ``c_gamma`` is the independent floating-point oracle.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -309,39 +311,60 @@ def _log_cprime(lam: float, quarter_mh: float, m: int) -> float:
             - math.lgamma(lam + quarter_mh + 0.5 * m))
 
 
-# Entries kept by the oracle's per-root memo, fixed like _FACTOR_CACHE_SIZE.
-# The whole criterion-3 grid needs 524 of them for 6.5 M lookups.
+# Entries kept by each root class's log-Gamma memo (``_gamma_class``), fixed
+# like _FACTOR_CACHE_SIZE.  The whole criterion-3 grid needs at most 98 in
+# one class, 524 over its 13 classes, for 6.5 M lookups; group-sp at
+# n = 800 needs 1,605 in its pair class.
 _GAMMA_TERM_CACHE_SIZE = 4096
 
+# Root classes kept by the class memo, fixed.  A datum has at most two, but
+# a Grassmannian's single roots carry m_half = d (q - p), one class per
+# q - p; a table keeps the memos of its own classes when they are evicted.
+_GAMMA_CLASS_CACHE_SIZE = 64
 
-@functools.lru_cache(maxsize=_GAMMA_TERM_CACHE_SIZE)
-def _gamma_term(lam4: int, scale: int, quarter: float, m: int) -> float:
-    """``_log_cprime`` at lambda_alpha = lam4 / scale: one root's log-Gamma
-    term, from 4 <lam, alpha>, 4 |alpha|^2, m_half / 4 and m_alpha."""
-    return _log_cprime(lam4 / scale, quarter, m)
+
+@functools.lru_cache(maxsize=_GAMMA_CLASS_CACHE_SIZE)
+def _gamma_class(scale: int, mh: int, m: int):
+    """The log-Gamma term of one root class, 4 |alpha|^2 = scale, m_half =
+    mh and m_alpha = m, as a memo of its own keyed by lam4 = 4 <lam, alpha>
+    alone: ``_log_cprime`` at lambda_alpha = lam4 / scale.  Shared by every
+    datum with roots of that class, and bounded by _GAMMA_TERM_CACHE_SIZE."""
+    quarter = mh / 4.0
+
+    @functools.lru_cache(maxsize=_GAMMA_TERM_CACHE_SIZE)
+    def term(lam4: int) -> float:
+        return _log_cprime(lam4 / scale, quarter, m)
+    return term
 
 
 @functools.lru_cache(maxsize=256)
 def _gamma_root_table(datum: SpaceDatum) -> tuple:
-    """The roots ``c_gamma`` sums over, one flat row per root with
-    everything that depends only on the datum: (i0, v0, i1, v1,
-    4 * <rho, alpha>, 4 * |alpha|^2, m_half / 4, m, the rho half of the
-    log-Gamma difference, orbit), for the root v0 f_{i0+1} + v1 f_{i1+1};
-    a single root has v1 = 0.  Multiplicity-zero pattern entries are
-    dropped; the order is that of ``iter_root_support``."""
+    """The roots ``c_gamma`` sums over, grouped by root class, as one
+    (term, scale, orbit, rows) per run of roots of one class: the class's
+    memo from ``_gamma_class``, its 4 |alpha|^2 and its orbit, and one row
+    per root with everything else that depends only on the datum: (i0, v0,
+    i1, v1, 4 * <rho, alpha>, the rho half of the log-Gamma difference),
+    for the root v0 f_{i0+1} + v1 f_{i1+1}; a single root has v1 = 0.
+    Multiplicity-zero pattern entries are dropped.  The order is that of
+    ``iter_root_support``, which lists each class in one run (the single
+    roots, then the pairs), so a datum has at most two groups.  Rows hold
+    only ints and floats, so the garbage collector stops tracking them: a
+    row that held the memo would stay tracked, and the collections during
+    a build of 640,000 rows (group-sp, n = 800) would walk them all."""
     r4 = _rho4(datum)
-    table = []
-    for orbit, norm_sq, entries in iter_root_support(datum.psi):
+    groups = []
+    for (orbit, norm_sq), roots in itertools.groupby(iter_root_support(datum.psi),
+                                                     operator.itemgetter(0, 1)):
         m, mh = datum.mults_for(orbit)
         if m == 0 and mh == 0:
             continue
-        (i0, v0), (i1, v1) = entries if len(entries) == 2 else (entries[0], (0, 0))
-        rho4 = r4[i0] * v0 + r4[i1] * v1
-        scale = 4 * norm_sq
-        quarter = mh / 4.0
-        table.append((i0, v0, i1, v1, rho4, scale, quarter, m,
-                      _gamma_term(rho4, scale, quarter, m), orbit))
-    return tuple(table)
+        term, rows = _gamma_class(4 * norm_sq, mh, m), []
+        for _, _, entries in roots:
+            (i0, v0), (i1, v1) = entries if len(entries) == 2 else (entries[0], (0, 0))
+            rho4 = r4[i0] * v0 + r4[i1] * v1
+            rows.append((i0, v0, i1, v1, rho4, term(rho4)))
+        groups.append((term, 4 * norm_sq, orbit, tuple(rows)))
+    return tuple(groups)
 
 
 def c_gamma(datum: SpaceDatum, lam) -> float:
@@ -358,30 +381,41 @@ def c_gamma(datum: SpaceDatum, lam) -> float:
 
 def _quarter_ints(datum: SpaceDatum, lam) -> list[int]:
     """Integer f-coefficients of 4 lam, for lam a Weight or f-coefficient
-    vector of quarter-integers (``c_gamma``); a coordinate that is not one
-    is named by its value."""
+    vector of quarter-integers (``c_gamma``), each coordinate read once as
+    ``Fraction(c).as_integer_ratio()``.  The checks run in the order of
+    ``_as_f_vector``: every coordinate is a rational, then the length, then
+    each is a quarter-integer; a coordinate that is not one is named by its
+    value."""
+    ratios = [(c if type(c) is Fraction else Fraction(c)).as_integer_ratio()
+              for c in (lam.coeffs_f if isinstance(lam, Weight) else lam)]
+    if len(ratios) != datum.psi.ambient_dim:
+        raise ValueError(f"expected {datum.psi.ambient_dim} f-coefficients, got {len(ratios)}")
     vec4 = []
-    for c in _as_f_vector(datum, lam):
-        d = c.denominator
+    for p, d in ratios:
         if 4 % d:
-            raise ValueError(f"lambda coordinate f{len(vec4) + 1} = {c} is not a quarter-integer")
-        vec4.append(c.numerator * (4 // d))
+            raise ValueError(f"lambda coordinate f{len(vec4) + 1} = {Fraction(p, d)} "
+                             f"is not a quarter-integer")
+        vec4.append(p * (4 // d))
     return vec4
 
 
 def _gamma_sum(datum: SpaceDatum, vec4: list[int]) -> float:
-    """``c_gamma`` from the integer f-coefficients of 4 lambda."""
+    """``c_gamma`` from the integer f-coefficients of 4 lambda: over the
+    groups of ``_gamma_root_table``, each root's term is looked up in its
+    class's memo by the one integer 4 <lam, alpha>, and the terms are added
+    in ``iter_root_support`` order, as the literal sum adds them."""
     total = 0.0
-    for i0, v0, i1, v1, rho4, scale, quarter, m, rho_term, orbit in _gamma_root_table(datum):
-        lam4 = vec4[i0] * v0 + vec4[i1] * v1
-        if lam4 == rho4:
-            continue
-        if lam4 <= 0:
-            entries = ((i0, v0), (i1, v1)) if v1 else ((i0, v0),)
-            root = RestrictedRoot(len(vec4), entries, orbit)
-            raise ValueError(f"lambda must pair positively with every root: "
-                             f"pairing with {root!r} is {Fraction(lam4, scale)}")
-        total += _gamma_term(lam4, scale, quarter, m) - rho_term
+    for term, scale, orbit, rows in _gamma_root_table(datum):
+        for i0, v0, i1, v1, rho4, rho_term in rows:
+            lam4 = vec4[i0] * v0 + vec4[i1] * v1
+            if lam4 == rho4:
+                continue
+            if lam4 <= 0:
+                entries = ((i0, v0), (i1, v1)) if v1 else ((i0, v0),)
+                root = RestrictedRoot(len(vec4), entries, orbit)
+                raise ValueError(f"lambda must pair positively with every root: "
+                                 f"pairing with {root!r} is {Fraction(lam4, scale)}")
+            total += term(lam4) - rho_term
     return math.exp(total)
 
 

@@ -235,17 +235,18 @@ def cmd_sphere_verify(args) -> int:
 
 
 def cmd_mc_check(args) -> int:
-    from .sphere import haar_rotation, mc_functional_equation, planar_rotation
+    from .sphere import _as_seed, haar_rotation, mc_functional_equation, planar_rotation
     n, k = args.n, args.k
     if not math.isfinite(args.max_z):
         raise ValueError(f"max-z must be a finite number, got {args.max_z}")
+    seed = _as_seed(args.seed)  # as typed, before the draws offset it
     if args.haar_xy:
-        x = haar_rotation(n + 1, 1, args.seed + 101)[0]
-        y = haar_rotation(n + 1, 1, args.seed + 202)[0]
+        x = haar_rotation(n + 1, 1, seed + 101)[0]
+        y = haar_rotation(n + 1, 1, seed + 202)[0]
     else:
         x = planar_rotation(n + 1, args.theta)
         y = planar_rotation(n + 1, args.theta_y)
-    mc = mc_functional_equation(n, k, x, y, args.samples, args.seed)
+    mc = mc_functional_equation(n, k, x, y, args.samples, seed)
     z = mc.zscore()
     ok = z <= args.max_z
     emit_json({

@@ -410,12 +410,19 @@ def _f_ints_from_xi(psi: RootSystemType, coeffs: Sequence[int]) -> list[int]:
     return f
 
 
-def _xi_f_ints(psi: RootSystemType, coeffs: Sequence[int]) -> list[int]:
-    """``_f_ints_from_xi`` after checking that coeffs holds one integer
-    (``_as_ints``) per simple root."""
+def _one_per_simple_root(psi: RootSystemType, coeffs: Sequence) -> Sequence:
+    """coeffs, after checking that it holds one entry per simple root."""
     if len(coeffs) != psi.rank:
         raise ValueError(f"need {psi.rank} coefficients, got {len(coeffs)}")
-    return _f_ints_from_xi(psi, _as_ints(coeffs))
+    return coeffs
+
+
+def _xi_f_ints(psi: RootSystemType, coeffs: Sequence[int]) -> list[int]:
+    """``_f_ints_from_xi`` after checking that coeffs holds one entry per
+    simple root, and then that each is an integer (``_as_ints``): a
+    sequence of the wrong length is named by its length first.
+    ``weight_from_xi`` checks the same two in the other order."""
+    return _f_ints_from_xi(psi, _as_ints(_one_per_simple_root(psi, coeffs)))
 
 
 # Entries kept by the integer-Fraction memo: the f-coordinates of the
@@ -435,12 +442,14 @@ def weight_from_xi(obj: Union[SpaceDatum, RootSystemType], coeffs: Sequence[int]
     """The integer combination sum_j coeffs[j] * xi_{j+1}.
 
     Coefficients may be any integers; nonnegative ones give dominant
-    weights in the spherical lattice.  The f-coordinates are integers
-    (``_f_ints_from_xi``), each taken as a shared Fraction from the bounded
-    memo ``_int_fraction``.
+    weights in the spherical lattice.  The coefficients are validated once:
+    each must be an integer (``_as_ints``), then there must be one per
+    simple root.  The f-coordinates are integers (``_f_ints_from_xi``),
+    each taken as a shared Fraction from the bounded memo ``_int_fraction``.
     """
-    coeffs = _as_ints(coeffs)
-    return Weight(tuple(map(_int_fraction, _xi_f_ints(_psi_of(obj), coeffs))), coeffs)
+    psi, coeffs = _psi_of(obj), _as_ints(coeffs)
+    f = _f_ints_from_xi(psi, _one_per_simple_root(psi, coeffs))
+    return Weight(tuple(map(_int_fraction, f)), coeffs)
 
 
 def pad_xi_coeffs(coeffs: Sequence[int], rank: int) -> tuple[int, ...]:

@@ -24,8 +24,8 @@ from helpers import (
 from sphelim import cfunc
 from sphelim.cfunc import (
     CFactorParams,
+    _gamma_class,
     _gamma_root_table,
-    _gamma_term,
     _product,
     _root_factor,
     _root_terms,
@@ -44,6 +44,7 @@ from sphelim.rootdata import (
     Weight,
     _f_ints_from_xi,
     build_space,
+    iter_root_support,
     lambda_alpha,
     pad_xi_coeffs,
     positive_nonmultipliable_roots,
@@ -199,21 +200,31 @@ class TestRootFactorMemo:
         assert _root_factor.__wrapped__(*key) == (fn // g, fd // g)
 
     def test_memos_stay_bounded_over_the_criterion_3_sweep(self):
-        """Both per-root memos, and the per-datum memos of the row plan and
-        of the oracle's root table, hold the whole criterion-3
+        """The root-factor memo, the oracle's class memo and every one of
+        its per-class term memos, and the per-datum memos of the row plan
+        and of the oracle's root table, hold the whole criterion-3
         working set: they stay within their bounds and never evict, so each
         key is computed once."""
-        memos = (_root_factor, _gamma_term, _row_plan, _gamma_root_table)
+        memos = (_root_factor, _gamma_class, _row_plan, _gamma_root_table)
         for memo in memos:
             memo.cache_clear()
-        for datum in oracle_grid_instances():
+        grid = oracle_grid_instances()
+        for datum in grid:
             for coeffs in itertools.product(range(5), repeat=datum.rank):
                 c_value(datum, coeffs)
                 c_oracle(datum, coeffs)
-        for memo in memos:
+        terms = class_memos(grid)  # read after the sweep
+        assert len(terms) == _gamma_class.cache_info().currsize
+        for memo in memos + terms:
             info = memo.cache_info()
             assert 0 < info.currsize <= info.maxsize
             assert info.misses == info.currsize and info.hits > info.misses
+
+
+def class_memos(data) -> tuple:
+    """The distinct per-class term memos that the data's oracle tables hold."""
+    terms = {id(term): term for datum in data for term, _, _, _ in _gamma_root_table(datum)}
+    return tuple(terms.values())
 
 
 class TestRowPlan:
@@ -377,14 +388,36 @@ class TestCGammaOracle:
         for _ in range(1500):
             datum = rng.choice(grid)
             sample.append((datum, tuple(rng.randrange(5) for _ in range(datum.rank))))
-        _gamma_term.cache_clear()
+        # cold: no table holds a class memo from an earlier test
+        _gamma_root_table.cache_clear()
+        _gamma_class.cache_clear()
         for _ in range(2):
             for datum, coeffs in sample:
                 lam = shifted_parameter(datum, coeffs)
                 got = c_gamma(datum, lam)
                 assert float.hex(got) == float.hex(memo_free_c_gamma(datum, lam)), (
                     datum.family, datum.params, coeffs)
-        assert _gamma_term.cache_info().hits > 0
+        assert sum(term.cache_info().hits for term in class_memos(d for d, _ in sample)) > 0
+
+    def test_table_rows_hold_only_ints_and_floats(self):
+        """The table's rows hold no memo or other object the garbage
+        collector tracks, so a table of many rows is left untracked, and
+        each group's rows are one root class in iter_root_support order."""
+        grid = oracle_grid_instances() + [build_space("group-sp", n=40),
+                                          build_space("grass-real", p=12, q=30)]
+        for datum in grid:
+            groups = _gamma_root_table(datum)
+            assert len(groups) <= 2, datum
+            for term, scale, orbit, rows in groups:
+                assert type(rows) is tuple and rows
+                for row in rows:
+                    assert type(row) is tuple and len(row) == 6
+                    assert all(type(v) is int for v in row[:5]) and type(row[5]) is float
+            roots = [(entries, orbit) for orbit, _, entries in iter_root_support(datum.psi)
+                     if datum.mults_for(orbit) != (0, 0)]
+            listed = [(((i0, v0), (i1, v1)) if v1 else ((i0, v0),), orbit)
+                      for _, _, orbit, rows in groups for i0, v0, i1, v1, _, _ in rows]
+            assert listed == roots, datum
 
     @pytest.mark.parametrize("datum", INSTANCES, ids=IDS)
     def test_relative_agreement(self, datum):
@@ -422,6 +455,9 @@ class TestCGammaOracle:
         lam[1] += Fraction(1, 3)
         with pytest.raises(ValueError, match=r"coordinate f2 = \S+ is not a quarter-integer"):
             c_gamma(datum, lam)
+        # the length is checked before any coordinate is
+        with pytest.raises(ValueError, match="^expected 3 f-coefficients, got 2$"):
+            c_gamma(build_space("group-sp", n=3), (Fraction(1, 3), 2))
         # c_oracle takes the weights c_value takes, so such a Weight is
         # off the spherical dominant lattice and rejected as c_value does
         mu = list(weight_from_xi(datum, (1, 1)).coeffs_f)

@@ -397,6 +397,9 @@ class TestMCCheck:
          "seed must be a nonnegative integer, got -1"),
         (["--n", "3", "--k", "1", "--samples", "100", "--seed", "-1", "--haar-xy"],
          "seed must be a nonnegative integer, got -1"),
+        # the seed as typed, not the offset seed of the x, y draws
+        (["--n", "3", "--k", "1", "--samples", "100", "--seed", "-150", "--haar-xy"],
+         "seed must be a nonnegative integer, got -150"),
     ])
     def test_bad_input_exits_two(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "mc-check", *argv)

@@ -342,6 +342,9 @@ class TestWeights:
         datum = build_space("group-sp", n=3)
         with pytest.raises(ValueError, match="need 3 coefficients, got 2"):
             weight_from_xi(datum, (1, 1))
+        # each coefficient is checked to be an integer before the length is
+        with pytest.raises(ValueError, match="^coefficient 0 must be an integer, got 1.5$"):
+            weight_from_xi(datum, (1.5, 2))
 
     def test_pad_xi_coeffs(self):
         assert pad_xi_coeffs((1, 2), 5) == (1, 2, 0, 0, 0)
